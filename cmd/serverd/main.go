@@ -9,12 +9,12 @@
 // in-process shards behind a scatter-gather coordinator (internal/shard):
 // keyword mapping fans out to every shard, execution runs as a
 // distributed bind-join, and results are provably identical to the
-// single-engine deployment. -replicas R gives every shard group R
-// failure domains with health-checked selection, hedged requests, and
-// cross-replica retries; per-shard circuit breakers and degraded partial
-// results (with a "coverage" block in every response) are always on for
-// sharded deployments. -chaos installs the deterministic fault injector
-// for resilience testing.
+// single-engine deployment. Each shard is called once per scattered
+// operation: a shard that errors or panics is dropped from that query,
+// which is served as a degraded partial result (with a "coverage" block
+// in every response) unless -require-full-coverage refuses it with 503.
+// -chaos installs the deterministic fault injector for resilience
+// testing.
 //
 // With -snapshot pointing at a file or directory written by
 // buildindex -snapshot, the server cold-starts by mmapping the built
@@ -52,8 +52,8 @@
 //
 //	serverd -data dblp.nt -addr :8080
 //	serverd -snapshot dblp.swdb -addr :8080
-//	serverd -snapshot clusterdir/ -replicas 2 -addr :8080
-//	serverd -gen dblp -scale 2000 -shards 4 -replicas 2 -addr :8080
+//	serverd -snapshot clusterdir/ -addr :8080
+//	serverd -gen dblp -scale 2000 -shards 4 -addr :8080
 //	serverd -gen dblp -shards 4 -chaos "error,shard=0" -addr :8080
 //	serverd -wal /var/lib/swdb/wal -addr :8080
 //	serverd -snapshot dblp.swdb -wal /var/lib/swdb/wal -fsync interval -addr :8080
@@ -144,8 +144,6 @@ func main() {
 	k := flag.Int("k", 10, "default number of query candidates")
 	scheme := flag.String("scoring", "c3", "scoring function: c1 | c2 | c3")
 	shards := flag.Int("shards", 1, "subject-partitioned shards behind a scatter-gather coordinator (1 = single engine)")
-	replicas := flag.Int("replicas", 1, "replica failure domains per shard group (needs -shards > 1)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "fixed delay before hedging a slow shard call on a sibling replica (0 = adaptive, p95 of recent latencies)")
 	requireFull := flag.Bool("require-full-coverage", false, "refuse degraded (partial shard coverage) results with 503 instead of serving them")
 	chaosSpec := flag.String("chaos", "", "fault-injection spec, e.g. \"error,shard=0;delay,delay=50ms,prob=0.1\" (TESTING ONLY; needs -shards > 1)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for probabilistic -chaos rules")
@@ -226,7 +224,7 @@ func main() {
 
 	if *walDir != "" {
 		switch {
-		case *shards > 1 || *replicas > 1:
+		case *shards > 1:
 			log.Fatal("-wal needs a single-engine backend (live ingestion and the sharded coordinator do not compose)")
 		case *chaosSpec != "":
 			log.Fatal("-chaos lives at the shard transport seam; crash-test the ingest path with -crash-point instead")
@@ -281,9 +279,6 @@ func main() {
 		if *shards > 1 {
 			log.Fatal("-shards conflicts with an engine snapshot file; write a sharded snapshot with buildindex -shards N -snapshot DIR and pass the directory")
 		}
-		if *replicas > 1 {
-			log.Fatal("-replicas needs a sharded backend (replica groups exist per shard)")
-		}
 		if *chaosSpec != "" {
 			log.Fatal("-chaos needs a sharded backend (the injector lives at the shard transport seam)")
 		}
@@ -295,10 +290,7 @@ func main() {
 		log.Printf("booted engine from snapshot %s in %v (%s-backed, format v%d, %.1f MB) — no index rebuild",
 			*snapPath, info.LoadDuration.Round(time.Microsecond), info.Mode, info.FormatVersion, float64(info.TotalBytes)/(1<<20))
 	case snapBoot == "dir":
-		cl, info, err := shard.NewBuilder(1, cfg).
-			Replicas(*replicas).
-			Resilience(shard.ResilienceConfig{HedgeDelay: *hedgeDelay}).
-			LoadSnapshotDir(*snapPath, loadOpts)
+		cl, info, err := shard.LoadSnapshotDir(*snapPath, cfg, loadOpts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -306,8 +298,8 @@ func main() {
 			log.Printf("note: -shards %d ignored — snapshot directory %s holds %d shards", *shards, *snapPath, cl.NumShards())
 		}
 		backend, snapInfo = cl, info
-		log.Printf("booted %d-shard cluster × %d replicas from snapshot %s in %v (%s-backed, format v%d, %.1f MB) — no index rebuild",
-			cl.NumShards(), cl.ReplicaCount(), *snapPath, info.LoadDuration.Round(time.Microsecond), info.Mode, info.FormatVersion, float64(info.TotalBytes)/(1<<20))
+		log.Printf("booted %d-shard cluster from snapshot %s in %v (%s-backed, format v%d, %.1f MB) — no index rebuild",
+			cl.NumShards(), *snapPath, info.LoadDuration.Round(time.Microsecond), info.Mode, info.FormatVersion, float64(info.TotalBytes)/(1<<20))
 		applyChaos(cl)
 	}
 
@@ -315,14 +307,9 @@ func main() {
 		// Live boot, or booted from a mapped snapshot: skip the
 		// load-and-build pipeline.
 	} else if *shards > 1 {
-		builder = shard.NewBuilder(*shards, cfg).
-			Replicas(*replicas).
-			Resilience(shard.ResilienceConfig{HedgeDelay: *hedgeDelay})
+		builder = shard.NewBuilder(*shards, cfg)
 		dst = builder
 	} else {
-		if *replicas > 1 {
-			log.Fatal("-replicas needs -shards > 1 (replica groups exist per shard)")
-		}
 		if *chaosSpec != "" {
 			log.Fatal("-chaos needs -shards > 1 (the injector lives at the shard transport seam)")
 		}
@@ -377,8 +364,8 @@ func main() {
 		if builder != nil {
 			cl := builder.Build()
 			backend = cl
-			log.Printf("partitioned into %d shards × %d replicas %v; indexes built in %v",
-				cl.NumShards(), cl.ReplicaCount(), cl.ShardSizes(), time.Since(buildStart).Round(time.Millisecond))
+			log.Printf("partitioned into %d shards %v; indexes built in %v",
+				cl.NumShards(), cl.ShardSizes(), time.Since(buildStart).Round(time.Millisecond))
 			applyChaos(cl)
 		}
 	}

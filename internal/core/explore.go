@@ -47,11 +47,6 @@ type Options struct {
 	// chosen from bench data — see DESIGN.md).
 	MinOracleSeeds int
 
-	// UseOracle forces the oracle on — the legacy opt-in spelling of
-	// Oracle = OracleOn, kept so existing callers and ablations work
-	// unchanged.
-	UseOracle bool
-
 	// testOnPop, when set by tests, observes every popped cursor (used to
 	// verify the ascending-cost pop order of Theorem 1).
 	testOnPop func(*Cursor)
@@ -122,9 +117,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxPops <= 0 {
 		o.MaxPops = 2_000_000
-	}
-	if o.UseOracle && o.Oracle == OracleAuto {
-		o.Oracle = OracleOn
 	}
 	if o.MinOracleSeeds <= 0 {
 		o.MinOracleSeeds = DefaultMinOracleSeeds

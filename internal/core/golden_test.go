@@ -309,7 +309,7 @@ func exploreWorkload(t *testing.T, name string, sg *summary.Graph, kwix *keyword
 		for _, opt := range []Options{
 			{K: 10, DMax: 10}, // OracleAuto: the serving default
 			{K: 3, DMax: 10},
-			{K: 10, DMax: 10, UseOracle: true},   // forced on (legacy spelling)
+			{K: 10, DMax: 10, Oracle: OracleOn},  // forced on
 			{K: 10, DMax: 10, Oracle: OracleOff}, // pre-oracle exploration
 		} {
 			label := name + "/" + kws[0]

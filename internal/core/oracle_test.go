@@ -52,7 +52,7 @@ func TestOracleSameResults(t *testing.T) {
 	// cost sequences on the running example and on random graphs.
 	ag, _ := fig1Aug(t)
 	base := Explore(ag, c1(ag), Options{K: 10, Oracle: OracleOff})
-	withOracle := Explore(ag, c1(ag), Options{K: 10, UseOracle: true})
+	withOracle := Explore(ag, c1(ag), Options{K: 10, Oracle: OracleOn})
 	if len(base.Subgraphs) != len(withOracle.Subgraphs) {
 		t.Fatalf("result counts differ: %d vs %d", len(base.Subgraphs), len(withOracle.Subgraphs))
 	}
@@ -94,7 +94,7 @@ func TestOracleSameResults(t *testing.T) {
 		agr := sg.Augment(perKw)
 		cf := c1(agr)
 		a := Explore(agr, cf, Options{K: 5, Oracle: OracleOff})
-		b := Explore(agr, cf, Options{K: 5, UseOracle: true})
+		b := Explore(agr, cf, Options{K: 5, Oracle: OracleOn})
 		if len(a.Subgraphs) != len(b.Subgraphs) {
 			t.Fatalf("round %d: counts differ %d vs %d", round, len(a.Subgraphs), len(b.Subgraphs))
 		}
@@ -145,7 +145,7 @@ func TestOraclePrunesDisconnectedComponents(t *testing.T) {
 	ag := sg.Augment(perKw)
 	cf := c1(ag)
 	plain := Explore(ag, cf, Options{K: 3, Oracle: OracleOff})
-	pruned := Explore(ag, cf, Options{K: 3, UseOracle: true})
+	pruned := Explore(ag, cf, Options{K: 3, Oracle: OracleOn})
 	if len(plain.Subgraphs) != len(pruned.Subgraphs) {
 		t.Fatalf("results differ: %d vs %d", len(plain.Subgraphs), len(pruned.Subgraphs))
 	}
@@ -223,7 +223,7 @@ func TestOracleBuildCancellation(t *testing.T) {
 	}
 
 	// And the exploration path surfaces it as a Cancelled termination.
-	res := defaultExplorer.ExploreContext(ctx, ag, scorer.ElementCost, Options{K: 10, UseOracle: true})
+	res := defaultExplorer.ExploreContext(ctx, ag, scorer.ElementCost, Options{K: 10, Oracle: OracleOn})
 	if res.Stats.Terminated != Cancelled {
 		t.Fatalf("exploration under cancelled ctx terminated %v, want Cancelled", res.Stats.Terminated)
 	}

@@ -59,8 +59,6 @@ type Config struct {
 	// worth the fixed cost (see core.DefaultMinOracleSeeds).
 	// core.OracleOff restores the pre-oracle exploration for ablations.
 	Oracle core.OracleMode
-	// UseOracle is the legacy opt-in spelling of Oracle = core.OracleOn.
-	UseOracle bool
 	// Parallelism caps the goroutines a single query may fan out to in
 	// its per-keyword stages — keyword-index lookups, the oracle's
 	// Dijkstras, the sharded coordinator's per-keyword merges
@@ -95,9 +93,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Thesaurus == nil {
 		c.Thesaurus = thesaurus.Default()
-	}
-	if c.UseOracle && c.Oracle == core.OracleAuto {
-		c.Oracle = core.OracleOn
 	}
 	return c
 }

@@ -101,11 +101,11 @@ type ExecStats struct {
 }
 
 // Coverage is the degraded-serving marker of the sharded cluster: how
-// many shard groups a scatter-gather query reached, and what the fault
-// layer did to get there. It rides exec.ResultSet.Stats for executes and
-// engine.SearchInfo for searches, surfaces in the /v1 JSON (and the
-// NDJSON trailer), and feeds the searchwebdb_hedges_total /
-// searchwebdb_degraded_responses_total metrics. A query is degraded
+// many shards a scatter-gather query reached. It rides
+// exec.ResultSet.Stats for executes and engine.SearchInfo for searches,
+// surfaces in the /v1 JSON (and the NDJSON trailer), and feeds the
+// searchwebdb_degraded_responses_total and searchwebdb_panics_total
+// metrics. A query is degraded
 // (partial results) when ShardsFailed > 0; whether that is served as a
 // partial 200 or a 503 is the serving layer's -require-full-coverage
 // policy, not the cluster's.
@@ -114,28 +114,26 @@ type ExecStats struct {
 // import — so the coordinator can thread one struct through both result
 // paths without an import cycle.
 type Coverage struct {
-	// ShardsTotal is the number of shard groups in the cluster.
+	// ShardsTotal is the number of shards in the cluster.
 	ShardsTotal int
-	// ShardsAnswered is how many groups contributed fully to the query.
+	// ShardsAnswered is how many shards contributed fully to the query.
 	ShardsAnswered int
-	// ShardsFailed is how many groups were down (replicas exhausted or
-	// breaker open); their contributions are missing from the results.
+	// ShardsFailed is how many shards failed (errored or panicked);
+	// their contributions are missing from the results.
 	ShardsFailed int
-	// Retries counts replica attempts after a same-group failure.
-	Retries int
-	// HedgesFired counts hedged (duplicate, latency-racing) attempts.
+	// Retries and HedgesFired are always zero: the cluster calls each
+	// shard once, with no retries and no hedged requests. They stay
+	// because the serving benchmark (perfbench/trace.go) reads them and
+	// its traced run asserts shard.retries_hedges == 0; dropping them is
+	// a change to the benchmark.
+	Retries     int
 	HedgesFired int
-	// HedgeWins counts calls a hedged attempt answered first.
-	HedgeWins int
-	// BreakerOpen counts calls short-circuited by an open breaker
-	// without touching a replica.
-	BreakerOpen int
-	// Panics counts replica attempts that panicked and were converted
-	// to failures by the transport layer.
+	// Panics counts shard calls that panicked and were converted to
+	// shard failures by the coordinator.
 	Panics int
 }
 
-// Degraded reports whether results are partial: at least one shard group
+// Degraded reports whether results are partial: at least one shard
 // contributed nothing.
 func (c *Coverage) Degraded() bool { return c != nil && c.ShardsFailed > 0 }
 

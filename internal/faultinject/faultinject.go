@@ -3,8 +3,7 @@
 // seed-driven Injector that intercepts calls at the shard transport seam
 // (internal/shard.Transport) and scripts exact failure sequences —
 // fixed or probabilistic delays, errors, hangs that last until the call's
-// context is cancelled, and panics — per shard, per replica, per
-// operation.
+// context is cancelled, and panics — per shard and per operation.
 //
 // Determinism is the design constraint everything else bends around: a
 // chaos test that cannot replay its failures cannot assert anything. Two
@@ -12,15 +11,15 @@
 //
 //   - Probabilistic rules draw from a counter-keyed hash
 //     (seed, site, per-site call ordinal), not from a shared stream, so
-//     the decision for "the 3rd join call on shard 1 replica 0" is the
-//     same no matter how goroutines interleave.
+//     the decision for "the 3rd join call on shard 1" is the same no
+//     matter how goroutines interleave.
 //   - Counted rules (After/Count) keep one atomic-free match counter per
 //     rule per site under a single mutex, so "fail the first 4 calls,
 //     then recover" means exactly that on every run.
 //
 // The injector is pure policy: it never imports the packages it breaks.
 // internal/shard threads it behind its Transport interface; anything
-// else with a (shard, replica, op) call structure can do the same.
+// else with a (shard, op) call structure can do the same.
 package faultinject
 
 import (
@@ -50,9 +49,9 @@ const (
 	// ModeError fails the call with ErrInjected.
 	ModeError
 	// ModeHang blocks until the call's context is cancelled, then
-	// returns the context error — a dead replica that never answers.
+	// returns the context error — a dead shard that never answers.
 	ModeHang
-	// ModePanic panics, simulating a crashing replica.
+	// ModePanic panics, simulating a crashing shard.
 	ModePanic
 )
 
@@ -71,19 +70,17 @@ func (m Mode) String() string {
 	return "unknown"
 }
 
-// Any matches every shard or replica in a Rule.
+// Any matches every shard in a Rule.
 const Any = -1
 
-// Rule is one fault: where it applies (Shard/Replica/Op, Any/"" as
-// wildcards), what it does (Mode + Delay), and when it fires (After
+// Rule is one fault: where it applies (Shard/Op, Any/"" as wildcards), what it does (Mode + Delay), and when it fires (After
 // skips the first N matching calls per site, Count caps total fires per
 // site, Prob fires probabilistically — deterministically keyed to the
 // call ordinal).
 type Rule struct {
-	Shard   int    // shard index, or Any
-	Replica int    // replica index within the shard group, or Any
-	Op      string // operation name, or "" for any
-	Mode    Mode
+	Shard int    // shard index, or Any
+	Op    string // operation name, or "" for any
+	Mode  Mode
 	// Delay is the injected latency for ModeDelay.
 	Delay time.Duration
 	// Prob in (0, 1) fires the rule on that fraction of matching calls,
@@ -103,9 +100,6 @@ func (r Rule) String() string {
 	if r.Shard != Any {
 		fmt.Fprintf(&b, ",shard=%d", r.Shard)
 	}
-	if r.Replica != Any {
-		fmt.Fprintf(&b, ",replica=%d", r.Replica)
-	}
 	if r.Op != "" {
 		fmt.Fprintf(&b, ",op=%s", r.Op)
 	}
@@ -124,12 +118,11 @@ func (r Rule) String() string {
 	return b.String()
 }
 
-// Site identifies one intercepted call: which shard, which replica of
-// its group, and which operation.
+// Site identifies one intercepted call: which shard and which
+// operation.
 type Site struct {
-	Shard   int
-	Replica int
-	Op      string
+	Shard int
+	Op    string
 }
 
 // ErrInjected is the sentinel all ModeError failures wrap; callers
@@ -141,8 +134,8 @@ var ErrInjected = errors.New("faultinject: injected error")
 type injectedError struct{ site Site }
 
 func (e *injectedError) Error() string {
-	return fmt.Sprintf("faultinject: injected error at shard %d replica %d op %s",
-		e.site.Shard, e.site.Replica, e.site.Op)
+	return fmt.Sprintf("faultinject: injected error at shard %d op %s",
+		e.site.Shard, e.site.Op)
 }
 
 func (e *injectedError) Unwrap() error { return ErrInjected }
@@ -152,8 +145,8 @@ func (e *injectedError) Unwrap() error { return ErrInjected }
 type PanicValue struct{ Site Site }
 
 func (p PanicValue) String() string {
-	return fmt.Sprintf("faultinject: injected panic at shard %d replica %d op %s",
-		p.Site.Shard, p.Site.Replica, p.Site.Op)
+	return fmt.Sprintf("faultinject: injected panic at shard %d op %s",
+		p.Site.Shard, p.Site.Op)
 }
 
 // ruleState pairs a rule with its per-site bookkeeping.
@@ -205,7 +198,6 @@ func siteHash(s Site) uint64 {
 		h *= 1099511628211
 	}
 	mix(uint64(int64(s.Shard)))
-	mix(uint64(int64(s.Replica)))
 	for i := 0; i < len(s.Op); i++ {
 		mix(uint64(s.Op[i]))
 	}
@@ -227,9 +219,6 @@ func (in *Injector) decide(s Site) (Rule, bool) {
 	for _, rs := range in.rules {
 		r := rs.rule
 		if r.Shard != Any && r.Shard != s.Shard {
-			continue
-		}
-		if r.Replica != Any && r.Replica != s.Replica {
 			continue
 		}
 		if r.Op != "" && r.Op != s.Op {
@@ -256,7 +245,7 @@ func (in *Injector) decide(s Site) (Rule, bool) {
 // It returns nil when the call should proceed (possibly after an
 // injected delay), an error when the call should fail, and panics for
 // ModePanic. ModeHang blocks until ctx is done and returns ctx.Err() —
-// exactly the shape of a replica that will never answer.
+// exactly the shape of a shard that will never answer.
 func (in *Injector) Intercept(ctx context.Context, s Site) error {
 	if in == nil {
 		return nil
@@ -307,10 +296,10 @@ func (in *Injector) Fired(i int) int {
 
 // Parse reads a chaos spec: rules separated by ';', each a ','-separated
 // list of key=value pairs. Keys: mode (delay|error|hang|panic, required),
-// shard, replica, op, delay (Go duration), prob, after, count.
+// shard, op, delay (Go duration), prob, after, count.
 //
 //	error,shard=0,op=lookup
-//	delay,delay=50ms,prob=0.3;hang,shard=2,replica=1
+//	delay,delay=50ms,prob=0.3;hang,shard=2
 //
 // A bare mode name is accepted in place of mode=<name>.
 func Parse(spec string) ([]Rule, error) {
@@ -320,7 +309,7 @@ func Parse(spec string) ([]Rule, error) {
 		if part == "" {
 			continue
 		}
-		r := Rule{Shard: Any, Replica: Any, Mode: -1}
+		r := Rule{Shard: Any, Mode: -1}
 		for _, kv := range strings.Split(part, ",") {
 			kv = strings.TrimSpace(kv)
 			if kv == "" {
@@ -348,8 +337,6 @@ func Parse(spec string) ([]Rule, error) {
 				}
 			case "shard":
 				r.Shard, err = strconv.Atoi(val)
-			case "replica":
-				r.Replica, err = strconv.Atoi(val)
 			case "op":
 				r.Op = val
 			case "delay":

@@ -4,22 +4,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
 func TestErrorRuleMatchesSiteExactly(t *testing.T) {
-	in := New(1, Rule{Shard: 0, Replica: Any, Op: OpLookup, Mode: ModeError})
+	in := New(1, Rule{Shard: 0, Op: OpLookup, Mode: ModeError})
 	ctx := context.Background()
 
-	if err := in.Intercept(ctx, Site{Shard: 0, Replica: 1, Op: OpLookup}); !errors.Is(err, ErrInjected) {
+	if err := in.Intercept(ctx, Site{Shard: 0, Op: OpLookup}); !errors.Is(err, ErrInjected) {
 		t.Fatalf("matching site: got %v, want ErrInjected", err)
 	}
-	if err := in.Intercept(ctx, Site{Shard: 1, Replica: 0, Op: OpLookup}); err != nil {
+	if err := in.Intercept(ctx, Site{Shard: 1, Op: OpLookup}); err != nil {
 		t.Fatalf("other shard must pass: %v", err)
 	}
-	if err := in.Intercept(ctx, Site{Shard: 0, Replica: 0, Op: OpJoin}); err != nil {
+	if err := in.Intercept(ctx, Site{Shard: 0, Op: OpJoin}); err != nil {
 		t.Fatalf("other op must pass: %v", err)
 	}
 	if got := in.Fired(0); got != 1 {
@@ -29,8 +30,8 @@ func TestErrorRuleMatchesSiteExactly(t *testing.T) {
 
 func TestAfterAndCount(t *testing.T) {
 	// Skip the first 2 calls, then fail at most 3 times.
-	in := New(1, Rule{Shard: Any, Replica: Any, Mode: ModeError, After: 2, Count: 3})
-	site := Site{Shard: 0, Replica: 0, Op: OpJoin}
+	in := New(1, Rule{Shard: Any, Mode: ModeError, After: 2, Count: 3})
+	site := Site{Shard: 0, Op: OpJoin}
 	var got []bool
 	for i := 0; i < 8; i++ {
 		got = append(got, in.Intercept(context.Background(), site) != nil)
@@ -42,7 +43,7 @@ func TestAfterAndCount(t *testing.T) {
 }
 
 func TestHangHonorsContext(t *testing.T) {
-	in := New(1, Rule{Shard: Any, Replica: Any, Mode: ModeHang})
+	in := New(1, Rule{Shard: Any, Mode: ModeHang})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -65,7 +66,7 @@ func TestHangHonorsContext(t *testing.T) {
 }
 
 func TestDelayDelays(t *testing.T) {
-	in := New(1, Rule{Shard: Any, Replica: Any, Mode: ModeDelay, Delay: 30 * time.Millisecond})
+	in := New(1, Rule{Shard: Any, Mode: ModeDelay, Delay: 30 * time.Millisecond})
 	start := time.Now()
 	if err := in.Intercept(context.Background(), Site{Op: OpJoin}); err != nil {
 		t.Fatal(err)
@@ -76,7 +77,7 @@ func TestDelayDelays(t *testing.T) {
 }
 
 func TestPanicMode(t *testing.T) {
-	in := New(1, Rule{Shard: Any, Replica: Any, Mode: ModePanic})
+	in := New(1, Rule{Shard: Any, Mode: ModePanic})
 	defer func() {
 		rec := recover()
 		pv, ok := rec.(PanicValue)
@@ -96,12 +97,12 @@ func TestPanicMode(t *testing.T) {
 // matter how calls from different sites interleave.
 func TestProbabilisticDeterminism(t *testing.T) {
 	sites := []Site{
-		{Shard: 0, Replica: 0, Op: OpLookup},
-		{Shard: 1, Replica: 0, Op: OpLookup},
-		{Shard: 0, Replica: 1, Op: OpJoin},
+		{Shard: 0, Op: OpLookup},
+		{Shard: 1, Op: OpLookup},
+		{Shard: 0, Op: OpJoin},
 	}
 	run := func(seed int64, shuffle bool) map[Site][]bool {
-		in := New(seed, Rule{Shard: Any, Replica: Any, Mode: ModeError, Prob: 0.4})
+		in := New(seed, Rule{Shard: Any, Mode: ModeError, Prob: 0.4})
 		out := map[Site][]bool{}
 		if !shuffle {
 			for _, s := range sites {
@@ -161,8 +162,8 @@ func TestProbabilisticDeterminism(t *testing.T) {
 
 func TestFirstMatchingRuleWins(t *testing.T) {
 	in := New(1,
-		Rule{Shard: 0, Replica: Any, Mode: ModeError},
-		Rule{Shard: Any, Replica: Any, Mode: ModeDelay, Delay: time.Hour},
+		Rule{Shard: 0, Mode: ModeError},
+		Rule{Shard: Any, Mode: ModeDelay, Delay: time.Hour},
 	)
 	// Shard 0 hits the error rule, never the hour-long delay behind it.
 	start := time.Now()
@@ -173,7 +174,7 @@ func TestFirstMatchingRuleWins(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	rules, err := Parse("error,shard=0,op=lookup; delay,delay=50ms,prob=0.3,after=2,count=4 ; hang,replica=1")
+	rules, err := Parse("error,shard=0,op=lookup; delay,delay=50ms,prob=0.3,after=2,count=4 ; hang,shard=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestParse(t *testing.T) {
 		t.Fatalf("got %d rules", len(rules))
 	}
 	r := rules[0]
-	if r.Mode != ModeError || r.Shard != 0 || r.Replica != Any || r.Op != OpLookup {
+	if r.Mode != ModeError || r.Shard != 0 || r.Op != OpLookup {
 		t.Fatalf("rule 0 = %+v", r)
 	}
 	r = rules[1]
@@ -189,19 +190,21 @@ func TestParse(t *testing.T) {
 		t.Fatalf("rule 1 = %+v", r)
 	}
 	r = rules[2]
-	if r.Mode != ModeHang || r.Replica != 1 || r.Shard != Any {
+	if r.Mode != ModeHang || r.Shard != 1 || r.Op != "" {
 		t.Fatalf("rule 2 = %+v", r)
 	}
 
-	for _, bad := range []string{
-		"",
-		"explode",
-		"error,shard=x",
-		"delay,shard=1",       // delay mode without a duration
-		"error,frequency=0.5", // unknown key
+	for bad, want := range map[string]string{
+		"":                    "no rules",
+		"explode":             "unknown mode",
+		"error,shard=x":       "bad shard",
+		"delay,shard=1":       "needs delay=", // delay mode without a duration
+		"error,frequency=0.5": `unknown key "frequency"`,
+		"error,replica=1":     `unknown key "replica"`, // shards have no replicas
 	} {
-		if _, err := Parse(bad); err == nil {
-			t.Errorf("Parse(%q) accepted", bad)
+		_, err := Parse(bad)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%q) = %v, want an error naming %s", bad, err, want)
 		}
 	}
 }

@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
@@ -62,12 +60,16 @@ type SwapObservation struct {
 	// Expired counts triples dropped by retention during this swap.
 	Expired int
 	// RetentionMerge marks a swap that dropped expired rows: the new
-	// engine is not a superset of the old one, so keyword-matched cache
-	// invalidation is insufficient — every cached result referencing a
-	// dropped row is stale. The serving layer flushes whole caches.
+	// engine is not a superset of the old one, so cached candidates may
+	// reference dropped rows. The serving layer flushes its candidate
+	// cache as well as its search cache.
 	RetentionMerge bool
-	// ChangedKeywords are the analyzed tokens of every label the delta
-	// touched — the keys whose cached results can no longer be trusted.
+	// ChangedKeywords is always nil. Swaps no longer compute the tokens
+	// the delta touched: the serving layer flushes its whole search cache
+	// on every swap, because candidate costs depend on summary statistics
+	// any batch changes. The field stays because the serving benchmark
+	// (perfbench/perlayer.go, ingest.invalidated_per_swap) reads it;
+	// dropping it is a change to the benchmark.
 	ChangedKeywords []string
 }
 
@@ -97,8 +99,8 @@ type Config struct {
 	// ObserveFsync receives WAL fsync durations.
 	ObserveFsync func(time.Duration)
 	// ObserveSwap receives every completed swap, after the new epoch is
-	// installed — the hook the serving layer uses for metrics and
-	// keyword-matched cache invalidation.
+	// installed — the hook the serving layer uses for metrics and cache
+	// invalidation.
 	ObserveSwap func(SwapObservation)
 	// ObserveCheckpoint receives every checkpoint attempt's outcome.
 	ObserveCheckpoint func(CheckpointResult, error)
@@ -349,7 +351,6 @@ func (l *Live) swapLocked() error {
 			obs.KeywordsRebuilt = true
 		}
 		eng = engine.NewFromParts(l.cfg.Engine, merged, newG, sum, kwix, old.eng.BuildDuration()+time.Since(start))
-		obs.ChangedKeywords = changedKeywords(eng.Graph(), snap)
 	} else {
 		// Retention slow path: rows are being dropped, which the
 		// incremental index maintenance cannot express — rebuild.
@@ -382,30 +383,6 @@ func (l *Live) thesaurus() *thesaurus.Thesaurus {
 		return nil
 	}
 	return l.cfg.Engine.WithDefaults().Thesaurus
-}
-
-// changedKeywords analyzes every label the delta touched — literal
-// values, predicate labels, and subject/object local names — into the
-// stemmed tokens under which a cached search result could have matched
-// them. The serving layer invalidates exactly those cache entries.
-func changedKeywords(newG *graph.Graph, snap *store.DeltaSnap) []string {
-	seen := map[string]bool{}
-	addLabel := func(id store.ID) {
-		for _, tok := range analysis.Analyze(newG.Label(id)) {
-			seen[tok] = true
-		}
-	}
-	for _, t := range snap.Triples() {
-		addLabel(t.S)
-		addLabel(t.P)
-		addLabel(t.O)
-	}
-	out := make([]string, 0, len(seen))
-	for tok := range seen {
-		out = append(out, tok)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Close syncs and closes the WAL. Queries against already-acquired

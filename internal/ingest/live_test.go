@@ -116,14 +116,6 @@ func TestLiveSwapMakesDataSearchable(t *testing.T) {
 	if obs.Triples != 4 || obs.Epoch != l.Epoch() {
 		t.Fatalf("observation %+v", obs)
 	}
-	wantTok := map[string]bool{}
-	for _, k := range obs.ChangedKeywords {
-		wantTok[k] = true
-	}
-	// Tokens are stemmed, exactly like the index's and a cached query's.
-	if !wantTok["crashsaf"] || !wantTok["2026"] {
-		t.Fatalf("changed keywords %v miss the new labels", obs.ChangedKeywords)
-	}
 }
 
 // TestLiveSwapEquivalentToRebuild: after any sequence of batches and

@@ -159,17 +159,13 @@ func toExecutionJSON(rs *exec.ResultSet) *executionJSON {
 }
 
 // coverageJSON is the wire view of exec.Coverage: how much of the
-// sharded cluster answered, and what the fault-tolerance machinery spent
-// getting there. Absent entirely for non-clustered backends.
+// sharded cluster answered, and how many shard calls panicked. Absent
+// entirely for non-clustered backends.
 type coverageJSON struct {
 	ShardsTotal    int  `json:"shards_total"`
 	ShardsAnswered int  `json:"shards_answered"`
 	ShardsFailed   int  `json:"shards_failed"`
 	Degraded       bool `json:"degraded"`
-	Retries        int  `json:"retries,omitempty"`
-	HedgesFired    int  `json:"hedges_fired,omitempty"`
-	HedgeWins      int  `json:"hedge_wins,omitempty"`
-	BreakerOpen    int  `json:"breaker_open,omitempty"`
 	Panics         int  `json:"panics,omitempty"`
 }
 
@@ -182,10 +178,6 @@ func toCoverageJSON(c *exec.Coverage) *coverageJSON {
 		ShardsAnswered: c.ShardsAnswered,
 		ShardsFailed:   c.ShardsFailed,
 		Degraded:       c.Degraded(),
-		Retries:        c.Retries,
-		HedgesFired:    c.HedgesFired,
-		HedgeWins:      c.HedgeWins,
-		BreakerOpen:    c.BreakerOpen,
 		Panics:         c.Panics,
 	}
 }
@@ -193,7 +185,7 @@ func toCoverageJSON(c *exec.Coverage) *coverageJSON {
 // writeDegraded answers a request refused under RequireFullCoverage.
 func writeDegraded(w http.ResponseWriter, cov *coverageJSON) {
 	writeJSON(w, http.StatusServiceUnavailable, errorResponse{
-		Error: fmt.Sprintf("degraded result refused: %d of %d shard groups answered",
+		Error: fmt.Sprintf("degraded result refused: %d of %d shards answered",
 			cov.ShardsAnswered, cov.ShardsTotal),
 		Code: "degraded"})
 }
@@ -556,7 +548,7 @@ func (s *Server) doSearch(ctx context.Context, norm []string, k int) (entry *sea
 				}
 				s.candidates.Put(e.resp.Candidates[i].ID, c)
 			}
-			// Degraded results are transient by nature — the failed group
+			// Degraded results are transient by nature — the failed shard
 			// may be back next call — so they must never be served from
 			// the cache after the cluster has healed.
 			if !info.Coverage.Degraded() {
@@ -1024,18 +1016,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 	var cluster map[string]any
 	if cb, ok := s.eng.(clusterBackend); ok {
-		gh := cb.GroupHealth()
-		breakers := make(map[string]string, len(gh))
-		for _, g := range gh {
-			breakers[strconv.Itoa(g.Shard)] = g.Breaker
-		}
 		cluster = map[string]any{
-			"shards":                 len(gh),
-			"replicas":               cb.ReplicaCount(),
-			"breakers":               breakers,
+			"shards":                 cb.NumShards(),
 			"degraded_total":         s.mDegraded.Value(),
-			"hedges_total":           s.mHedges.Value(),
-			"shard_retries_total":    s.mShardRetries.Value(),
 			"require_full_coverage":  s.cfg.RequireFullCoverage,
 			"panics_recovered_total": s.mPanics.Value(),
 		}
@@ -1097,7 +1080,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.refreshBreakerGauges()
 	s.refreshIngestGauges()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)

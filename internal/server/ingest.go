@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/ingest"
 	"repro/internal/rdf"
 )
@@ -249,99 +248,22 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---------------------------------------------------------------------------
-// Keyword-matched cache invalidation
+// Cache invalidation at epoch swaps
 
-// isDigitsToken mirrors the keyword index's rule that fuzzy matching
-// never applies to pure-digit tokens ("2006" must not match "2007").
-func isDigitsToken(tok string) bool {
-	for _, r := range tok {
-		if r < '0' || r > '9' {
-			return false
-		}
-	}
-	return len(tok) > 0
-}
-
-// fuzzyBound mirrors keywordindex.LookupOptions: edit distance 1 for
-// tokens of length ≤ 5, else 2, and 0 (exact only) for digit tokens.
-func fuzzyBound(tok string) int {
-	if isDigitsToken(tok) {
-		return 0
-	}
-	if len(tok) <= 5 {
-		return 1
-	}
-	return 2
-}
-
-// keywordsTouch reports whether any analyzed token of the cached keyword
-// list could have matched a changed label token — exactly or within the
-// index's fuzzy edit-distance bounds. Thesaurus expansion is not chased:
-// semantic matches route through the same label tokens at lookup time,
-// and a synonym-only dependency is bounded by the cache TTL like any
-// sealed-deploy staleness.
-func keywordsTouch(keywords []string, changedSet map[string]struct{}, changed []string) bool {
-	for _, kw := range keywords {
-		for _, tok := range analysis.AnalyzeKeyword(kw) {
-			if _, ok := changedSet[tok]; ok {
-				return true
-			}
-			max := fuzzyBound(tok)
-			if max == 0 {
-				continue
-			}
-			for _, c := range changed {
-				if isDigitsToken(c) {
-					continue
-				}
-				if analysis.BoundedLevenshtein(tok, c, max) <= max {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// InvalidateKeywords drops every cached search whose keywords touch one
-// of the changed label tokens (the stemmed output of an epoch swap's
-// ChangedKeywords), along with the candidate ids it registered, and
-// returns how many search entries were dropped. Entries whose keywords
-// are disjoint from the change survive — a swap does not empty the
-// cache, it surgically removes what it may have made stale (including
-// cached no-match outcomes the new data could now satisfy).
-func (s *Server) InvalidateKeywords(changed []string) int {
-	if len(changed) == 0 {
-		return 0
-	}
-	set := make(map[string]struct{}, len(changed))
-	for _, c := range changed {
-		set[c] = struct{}{}
-	}
-	var candIDs []string
-	n := s.searchCache.Invalidate(func(_ string, val any) bool {
-		e := val.(*searchEntry)
-		if !keywordsTouch(e.resp.Keywords, set, changed) {
-			return false
-		}
-		for _, cj := range e.resp.Candidates {
-			candIDs = append(candIDs, cj.ID)
-		}
-		return true
-	})
-	// Outside the search-cache sweep: the two caches have separate locks,
-	// and Invalidate's contract forbids reentry.
-	for _, id := range candIDs {
-		s.candidates.Remove(id)
-	}
-	return n
+// flushSearchCache empties the search cache. Every swap needs it: a
+// candidate's cost depends on summary statistics (class and predicate
+// counts) that any merged batch can change, so no cached search survives
+// a swap, whatever its keywords. The candidate cache stays — a cached
+// candidate is a query, and executing it reads the current epoch.
+func (s *Server) flushSearchCache() int {
+	return s.searchCache.Invalidate(func(string, any) bool { return true })
 }
 
 // flushQueryCaches empties the search and candidate caches — the
-// retention-merge hammer: a merge that *dropped* rows can stale any
-// cached result, so surgical keyword matching does not apply.
+// retention-merge hammer: a merge that *dropped* rows can leave cached
+// candidates whose queries reference the expired terms.
 func (s *Server) flushQueryCaches() int {
-	n := s.searchCache.Invalidate(func(string, any) bool { return true })
+	n := s.flushSearchCache()
 	s.candidates.Invalidate(func(string, any) bool { return true })
 	return n
 }
@@ -360,7 +282,7 @@ func (s *Server) bindLive(l *ingest.Live) {
 		if o.RetentionMerge {
 			n = s.flushQueryCaches()
 		} else {
-			n = s.InvalidateKeywords(o.ChangedKeywords)
+			n = s.flushSearchCache()
 		}
 		s.mInvalidated.Add(uint64(n))
 	}, func(d time.Duration) {

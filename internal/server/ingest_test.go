@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -186,9 +187,9 @@ func TestIngestRejectsBadBodies(t *testing.T) {
 }
 
 // TestSwapInvalidatesTouchedCacheEntries is the end-to-end cache story:
-// a swap drops exactly the cached searches whose keywords touch the new
-// labels — including a cached no-match the new data can now satisfy —
-// and leaves disjoint entries cached.
+// a swap drops the cached searches whose keywords touch the new labels —
+// including a cached no-match the new data can now satisfy — and the
+// disjoint ones too, since a swap can change any candidate's cost.
 func TestSwapInvalidatesTouchedCacheEntries(t *testing.T) {
 	// EpochMaxDelta 4 = the pub9 batch triggers the swap synchronously.
 	s, l := liveTestServer(t, ingest.Config{EpochMaxDelta: 4}, Config{})
@@ -241,9 +242,9 @@ func TestSwapInvalidatesTouchedCacheEntries(t *testing.T) {
 	if len(sr.Candidates) == 0 {
 		t.Fatalf("crashsafe still unmatched after swap: %+v", sr)
 	}
-	// The disjoint entry survived.
-	if sr := search("aifb"); !sr.Cached {
-		t.Fatal("untouched cache entry was invalidated")
+	// The disjoint entry was flushed as well.
+	if sr := search("aifb"); sr.Cached {
+		t.Fatal("cached search survived the swap")
 	}
 
 	// Observability: /healthz, /stats, and /metrics see the new epoch.
@@ -285,50 +286,78 @@ func TestSwapInvalidatesTouchedCacheEntries(t *testing.T) {
 	}
 }
 
-// TestInvalidateKeywordsMatching pins the matching rules: exact stemmed
-// hit, fuzzy hit within the index's edit-distance bounds, no fuzzy for
-// digit tokens, and candidate ids dropped with their search entry.
-func TestInvalidateKeywordsMatching(t *testing.T) {
-	s, _ := liveTestServer(t, ingest.Config{EpochMaxDelta: 1 << 20}, Config{})
+// TestSwapFlushesCostStaleSearches is the regression test for stale
+// cached searches: the ingested batch shares no analyzed token with the
+// cached keywords, but its new Researcher instances change the summary
+// statistics the candidates' costs are computed from. After the swap,
+// /v1/search must recompute and agree with the live store exactly —
+// costs, order and SPARQL.
+func TestSwapFlushesCostStaleSearches(t *testing.T) {
+	const n = 6
+	s, l := liveTestServer(t, ingest.Config{EpochMaxDelta: n}, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
-	put := func(key string, keywords []string, candIDs ...string) {
-		e := &searchEntry{resp: searchResponse{Keywords: keywords}}
-		for _, id := range candIDs {
-			e.resp.Candidates = append(e.resp.Candidates, candidateJSON{ID: id})
-			s.candidates.Put(id, &engine.QueryCandidate{})
+	keywords := []string{"cimiano", "aifb"}
+	search := func() searchResponse {
+		t.Helper()
+		status, body := postJSON(t, ts, "/v1/search", searchRequest{Keywords: keywords})
+		if status != http.StatusOK {
+			t.Fatalf("search status %d: %s", status, body)
 		}
-		s.searchCache.Put(key, e)
+		var sr searchResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		return sr
 	}
-	put("exact", []string{"crashsafe"}, "exact-0", "exact-1")
-	put("fuzzy", []string{"titles"}, "fuzzy-0") // "titl" vs changed "title"+stem
-	put("digits", []string{"2006"})
-	put("far", []string{"year"})
-	put("disjoint", []string{"aifb"}, "disjoint-0")
+	render := func(cands []candidateJSON) string {
+		var b strings.Builder
+		for _, c := range cands {
+			fmt.Fprintf(&b, "%d %v %s\n", c.Rank, c.Cost, c.SPARQL)
+		}
+		return b.String()
+	}
 
-	n := s.InvalidateKeywords([]string{"crashsaf", "titl", "2007"})
-	if n != 2 {
-		t.Fatalf("invalidated %d entries, want 2 (exact + fuzzy)", n)
+	before := search()
+	if len(before.Candidates) == 0 {
+		t.Fatal("no candidates before the ingest")
 	}
-	for _, key := range []string{"exact", "fuzzy"} {
-		if _, ok := s.searchCache.Get(key); ok {
-			t.Errorf("%s survived", key)
-		}
+	if sr := search(); !sr.Cached {
+		t.Fatal("search not cached")
 	}
-	for _, key := range []string{"digits", "far", "disjoint"} {
-		if _, ok := s.searchCache.Get(key); !ok {
-			t.Errorf("%s was wrongly invalidated", key)
-		}
+
+	var batch []tripleJSON
+	for i := 0; i < n; i++ {
+		batch = append(batch, tripleJSON{
+			S: exTerm(fmt.Sprintf("re%d", 10+i)),
+			P: termJSON{Kind: "iri", Value: rdf.RDFType},
+			O: exTerm("Researcher"),
+		})
 	}
-	for _, id := range []string{"exact-0", "exact-1", "fuzzy-0"} {
-		if _, ok := s.candidates.Get(id); ok {
-			t.Errorf("candidate %s survived its search entry", id)
-		}
+	status, body := postJSON(t, ts, "/v1/ingest", ingestRequest{Triples: batch})
+	var ir ingestResponse
+	if err := json.Unmarshal(body, &ir); err != nil || status != http.StatusOK || !ir.Swapped {
+		t.Fatalf("ingest did not swap: status %d: %s", status, body)
 	}
-	if _, ok := s.candidates.Get("disjoint-0"); !ok {
-		t.Error("candidate of a surviving entry was dropped")
+
+	cands, _, err := l.SearchKContext(context.Background(), keywords, before.K)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.InvalidateKeywords(nil) != 0 {
-		t.Error("empty change set invalidated something")
+	var want strings.Builder
+	for i, c := range cands {
+		fmt.Fprintf(&want, "%d %v %s\n", i, c.Cost, c.SPARQL())
+	}
+	if want.String() == render(before.Candidates) {
+		t.Fatal("the batch did not change the candidates' costs; the test exercises nothing")
+	}
+	after := search()
+	if after.Cached {
+		t.Fatal("cost-stale search served from cache after the swap")
+	}
+	if got := render(after.Candidates); got != want.String() {
+		t.Fatalf("search after the swap:\n%s\nlive store:\n%s", got, want.String())
 	}
 }
 

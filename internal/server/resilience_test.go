@@ -18,14 +18,12 @@ import (
 	"repro/internal/shard"
 )
 
-// chaosServer builds a server over a replicated cluster with a fault
-// injector installed — the serverd "-shards 4 -replicas R -chaos ..."
-// deployment the CI chaos smoke boots.
-func chaosServer(t *testing.T, cfg Config, replicas int, inj *faultinject.Injector) *Server {
+// chaosServer builds a server over a 4-shard cluster with a fault
+// injector installed — the serverd "-shards 4 -chaos ..." deployment the
+// CI chaos smoke boots.
+func chaosServer(t *testing.T, cfg Config, inj *faultinject.Injector) *Server {
 	t.Helper()
-	b := shard.NewBuilder(4, engine.Config{K: 5}).
-		Replicas(replicas).
-		Resilience(shard.ResilienceConfig{DisableHedging: true})
+	b := shard.NewBuilder(4, engine.Config{K: 5})
 	b.AddTriples(datagen.DBLPTriples(datagen.DBLPConfig{Publications: 200, Seed: 1}))
 	cl := b.Build()
 	cl.SetInjector(inj)
@@ -92,16 +90,15 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestShardPanicContainedOverHTTP panics a replica through the fault
-// injector and drives the query over the real HTTP path: with R=1 the
-// group is lost but the response is still a 200 with a degraded coverage
-// block — a crashing shard never becomes a 500.
+// TestShardPanicContainedOverHTTP panics a shard through the fault
+// injector and drives the query over the real HTTP path: the shard is
+// lost but the response is still a 200 with a degraded coverage block —
+// a crashing shard never becomes a 500 — and the panic is counted once.
 func TestShardPanicContainedOverHTTP(t *testing.T) {
 	inj := faultinject.New(1, faultinject.Rule{
-		Shard: 0, Replica: faultinject.Any, Op: faultinject.OpLookup,
-		Mode: faultinject.ModePanic,
+		Shard: 0, Op: faultinject.OpLookup, Mode: faultinject.ModePanic,
 	})
-	s := chaosServer(t, Config{}, 1, inj)
+	s := chaosServer(t, Config{}, inj)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -115,13 +112,16 @@ func TestShardPanicContainedOverHTTP(t *testing.T) {
 	}
 	cov := resp.Coverage
 	if cov == nil || !cov.Degraded || cov.ShardsFailed != 1 || cov.ShardsAnswered != 3 {
-		t.Fatalf("coverage %+v, want degraded with 1 of 4 groups failed", cov)
+		t.Fatalf("coverage %+v, want degraded with 1 of 4 shards failed", cov)
 	}
-	if cov.Panics == 0 {
-		t.Fatalf("coverage %+v records no panics", cov)
+	if cov.Panics != 1 {
+		t.Fatalf("coverage %+v, want exactly 1 panic", cov)
 	}
-	if s.mPanics.Value() != 0 {
-		t.Fatal("replica panic leaked to the handler middleware")
+	if len(resp.Candidates) == 0 {
+		t.Fatal("degraded search returned no candidates")
+	}
+	if got := s.mPanics.Value(); got != 1 {
+		t.Fatalf("panics counter = %d, want 1", got)
 	}
 	if s.mDegraded.Value() == 0 {
 		t.Fatal("degraded responses counter did not move")
@@ -129,15 +129,12 @@ func TestShardPanicContainedOverHTTP(t *testing.T) {
 }
 
 // TestDegradedSearchOverHTTP is the CI chaos smoke in miniature: one
-// shard group errors on every lookup, and /v1/search answers partial
+// shard errors on every lookup, and /v1/search answers partial
 // results with an honest coverage block — and a repeat is NOT served
 // from the cache (degraded results are transient).
 func TestDegradedSearchOverHTTP(t *testing.T) {
-	inj := faultinject.New(7, faultinject.Rule{
-		Shard: 0, Replica: faultinject.Any,
-		Mode: faultinject.ModeError,
-	})
-	s := chaosServer(t, Config{}, 1, inj)
+	inj := faultinject.New(7, faultinject.Rule{Shard: 0, Mode: faultinject.ModeError})
+	s := chaosServer(t, Config{}, inj)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -201,11 +198,8 @@ func TestDegradedSearchOverHTTP(t *testing.T) {
 // search and execute now answer 503 with code "degraded" instead of
 // partial results.
 func TestRequireFullCoverage(t *testing.T) {
-	inj := faultinject.New(7, faultinject.Rule{
-		Shard: 0, Replica: faultinject.Any,
-		Mode: faultinject.ModeError,
-	})
-	s := chaosServer(t, Config{RequireFullCoverage: true}, 1, inj)
+	inj := faultinject.New(7, faultinject.Rule{Shard: 0, Mode: faultinject.ModeError})
+	s := chaosServer(t, Config{RequireFullCoverage: true}, inj)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -240,47 +234,6 @@ func TestRequireFullCoverage(t *testing.T) {
 	}
 }
 
-// TestHedgedRecoveryOverHTTP hangs one replica of a replicated cluster:
-// the hedge fires, the sibling answers, and the client sees a full
-// (non-degraded) result whose coverage block admits the hedge.
-func TestHedgedRecoveryOverHTTP(t *testing.T) {
-	inj := faultinject.New(1, faultinject.Rule{
-		Shard: 0, Replica: 0, Op: faultinject.OpLookup,
-		Mode: faultinject.ModeHang,
-	})
-	b := shard.NewBuilder(4, engine.Config{K: 5}).
-		Replicas(2).
-		Resilience(shard.ResilienceConfig{HedgeDelay: 2 * time.Millisecond})
-	b.AddTriples(datagen.DBLPTriples(datagen.DBLPConfig{Publications: 200, Seed: 1}))
-	cl := b.Build()
-	cl.SetInjector(inj)
-	s := New(cl, Config{}, 2)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	status, body := postJSON(t, ts, "/v1/search", searchRequest{Keywords: []string{"publication", "title"}})
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, body)
-	}
-	var resp searchResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	cov := resp.Coverage
-	if cov == nil || cov.Degraded || cov.ShardsAnswered != 4 {
-		t.Fatalf("coverage %+v, want full coverage via hedging", cov)
-	}
-	if cov.HedgesFired == 0 || cov.HedgeWins == 0 {
-		t.Fatalf("coverage %+v records no hedge activity", cov)
-	}
-	if len(resp.Candidates) == 0 {
-		t.Fatal("hedged search returned no candidates")
-	}
-	if s.mHedges.Value() == 0 {
-		t.Fatal("hedges counter did not move")
-	}
-}
-
 // TestMaxBodyBytes caps the request body: an oversized /v1/search POST
 // is answered 413 with code "body_too_large"; a small one still works.
 func TestMaxBodyBytes(t *testing.T) {
@@ -306,11 +259,11 @@ func TestMaxBodyBytes(t *testing.T) {
 	}
 }
 
-// TestStatsClusterSection asserts /stats grows a cluster block (breaker
-// states, replication factor) for a sharded backend, and /metrics the
-// per-shard breaker gauge family.
+// TestStatsClusterSection asserts /stats grows a cluster block (shard
+// count, degraded and panic totals, the coverage policy) for a sharded
+// backend, and nothing of the removed replica layer.
 func TestStatsClusterSection(t *testing.T) {
-	s := chaosServer(t, Config{}, 2, nil)
+	s := chaosServer(t, Config{}, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -319,26 +272,28 @@ func TestStatsClusterSection(t *testing.T) {
 		t.Fatalf("stats status %d", status)
 	}
 	var stats struct {
-		Cluster *struct {
-			Shards   int               `json:"shards"`
-			Replicas int               `json:"replicas"`
-			Breakers map[string]string `json:"breakers"`
-		} `json:"cluster"`
+		Cluster map[string]any `json:"cluster"`
 	}
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Cluster == nil || stats.Cluster.Shards != 4 || stats.Cluster.Replicas != 2 {
-		t.Fatalf("cluster stats %+v", stats.Cluster)
+	want := map[string]any{
+		"shards":                 4.0,
+		"degraded_total":         0.0,
+		"require_full_coverage":  false,
+		"panics_recovered_total": 0.0,
 	}
-	for sh, st := range stats.Cluster.Breakers {
-		if st != "closed" {
-			t.Fatalf("shard %s breaker %q at rest", sh, st)
-		}
+	if fmt.Sprint(stats.Cluster) != fmt.Sprint(want) {
+		t.Fatalf("cluster stats %v, want %v", stats.Cluster, want)
 	}
 	status, body = getBody(t, ts, "/metrics")
-	if status != http.StatusOK || !strings.Contains(string(body), `searchwebdb_shard_breaker_state{shard="0"} 0`) {
-		t.Fatalf("metrics missing breaker gauge: %d", status)
+	if status != http.StatusOK || !strings.Contains(string(body), "searchwebdb_degraded_responses_total 0") {
+		t.Fatalf("metrics missing the degraded counter: %d", status)
+	}
+	for _, gone := range []string{"searchwebdb_hedges_total", "searchwebdb_shard_retries_total", "searchwebdb_shard_breaker_state"} {
+		if strings.Contains(string(body), gone) {
+			t.Errorf("metrics still export %s", gone)
+		}
 	}
 
 	// The single-engine server reports no cluster section.
@@ -361,10 +316,10 @@ func TestStatsClusterSection(t *testing.T) {
 // request must complete normally before the listener dies.
 func TestGracefulDrain(t *testing.T) {
 	inj := faultinject.New(1, faultinject.Rule{
-		Shard: faultinject.Any, Replica: faultinject.Any, Op: faultinject.OpLookup,
+		Shard: faultinject.Any, Op: faultinject.OpLookup,
 		Mode: faultinject.ModeDelay, Delay: 300 * time.Millisecond, Count: 1,
 	})
-	s := chaosServer(t, Config{}, 1, inj)
+	s := chaosServer(t, Config{}, inj)
 	srv := &http.Server{Handler: s.Handler()}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -416,7 +371,7 @@ func TestChaosSpecBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := chaosServer(t, Config{}, 1, faultinject.New(42, rules...))
+	s := chaosServer(t, Config{}, faultinject.New(42, rules...))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

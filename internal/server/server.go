@@ -25,7 +25,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/ingest"
 	"repro/internal/metrics"
-	"repro/internal/shard"
 	"repro/internal/snapshot"
 )
 
@@ -73,7 +72,7 @@ type Config struct {
 	// inline conjunctive queries are tiny).
 	MaxBodyBytes int64
 	// RequireFullCoverage refuses degraded results: when a sharded
-	// backend answers with failed shard groups, the response is 503
+	// backend answers with failed shards, the response is 503
 	// (code "degraded") instead of a partial answer set. Default off —
 	// partial results with a coverage block beat unavailability.
 	RequireFullCoverage bool
@@ -184,15 +183,10 @@ type Server struct {
 	mExecDeduped    *metrics.Counter
 	mExecTruncated  *metrics.CounterVec
 
-	// Fault-tolerance telemetry: recovered handler panics, requests
-	// served degraded (some shard groups down), hedges and cross-replica
-	// retries spent, and the per-shard breaker state (0 closed, 1
-	// half-open, 2 open; refreshed on scrape).
-	mPanics       *metrics.Counter
-	mDegraded     *metrics.Counter
-	mHedges       *metrics.Counter
-	mShardRetries *metrics.Counter
-	mBreakerState *metrics.GaugeVec
+	// Fault telemetry: recovered panics (handlers and shard calls) and
+	// requests served degraded (some shards down).
+	mPanics   *metrics.Counter
+	mDegraded *metrics.Counter
 
 	// Cold-start provenance: how long the snapshot load took (0 when the
 	// backend was built from a triple stream rather than booted).
@@ -220,12 +214,10 @@ type Server struct {
 }
 
 // clusterBackend is the optional introspection surface of a sharded
-// backend (shard.Cluster implements it); the server publishes breaker
-// states and the replication factor when the backend provides them.
+// backend (shard.Cluster implements it): /stats reports its shard count.
 // Plain engines don't implement it and serve exactly as before.
 type clusterBackend interface {
-	GroupHealth() []shard.GroupHealth
-	ReplicaCount() int
+	NumShards() int
 }
 
 // New builds a server over a query backend, sealing it: any outstanding
@@ -292,15 +284,9 @@ func New(eng engine.Queryer, cfg Config, procsHint int) *Server {
 	s.mExecTruncated = s.reg.CounterVec("searchwebdb_execute_truncated_total",
 		"Executed queries truncated, by reason (limit, max_rows, step_budget).", "reason")
 	s.mPanics = s.reg.Counter("searchwebdb_panics_total",
-		"Handler panics recovered by the serving middleware (answered 500).")
+		"Panics recovered: by the serving middleware (answered 500) or in a shard call (that shard failed).")
 	s.mDegraded = s.reg.Counter("searchwebdb_degraded_responses_total",
-		"Computed searches and executes that lost at least one shard group (partial results).")
-	s.mHedges = s.reg.Counter("searchwebdb_hedges_total",
-		"Hedged shard requests fired across computed searches and executes.")
-	s.mShardRetries = s.reg.Counter("searchwebdb_shard_retries_total",
-		"Cross-replica retries spent across computed searches and executes.")
-	s.mBreakerState = s.reg.GaugeVec("searchwebdb_shard_breaker_state",
-		"Per-shard circuit breaker state (0 closed, 1 half-open, 2 open), refreshed on scrape.", "shard")
+		"Computed searches and executes that lost at least one shard (partial results).")
 	s.mSnapLoad = s.reg.FloatGauge("searchwebdb_snapshot_load_seconds",
 		"Wall time of the snapshot load the backend booted from (0 when built from a triple stream).")
 	if cfg.Snapshot != nil {
@@ -315,7 +301,7 @@ func New(eng engine.Queryer, cfg Config, procsHint int) *Server {
 	s.mSwapSeconds = s.reg.Histogram("searchwebdb_epoch_swap_seconds",
 		"Epoch swap latency: delta merge plus incremental (or fallback full) index maintenance.", nil)
 	s.mInvalidated = s.reg.Counter("searchwebdb_search_cache_invalidated_total",
-		"Cached searches dropped by keyword-matched invalidation at epoch swaps.")
+		"Cached searches dropped by epoch swaps (every swap flushes the search cache).")
 	s.mWALSize = s.reg.Gauge("searchwebdb_wal_size_bytes",
 		"On-disk size of all live WAL segments (0 on sealed read-only deploys).")
 	s.mWALSegments = s.reg.Gauge("searchwebdb_wal_segments",
@@ -329,7 +315,6 @@ func New(eng engine.Queryer, cfg Config, procsHint int) *Server {
 	if cfg.Live != nil {
 		s.bindLive(cfg.Live)
 	}
-	s.refreshBreakerGauges()
 	return s
 }
 
@@ -361,29 +346,9 @@ func (s *Server) observeCoverage(cov *exec.Coverage) {
 	if cov == nil {
 		return
 	}
-	s.mHedges.Add(uint64(cov.HedgesFired))
-	s.mShardRetries.Add(uint64(cov.Retries))
+	s.mPanics.Add(uint64(cov.Panics))
 	if cov.Degraded() {
 		s.mDegraded.Inc()
-	}
-}
-
-// refreshBreakerGauges re-reads the backend's breaker states into the
-// per-shard gauge family. No-op for non-clustered backends.
-func (s *Server) refreshBreakerGauges() {
-	cb, ok := s.eng.(clusterBackend)
-	if !ok {
-		return
-	}
-	for _, gh := range cb.GroupHealth() {
-		var v int64
-		switch gh.Breaker {
-		case "half_open":
-			v = 1
-		case "open":
-			v = 2
-		}
-		s.mBreakerState.With(strconv.Itoa(gh.Shard)).Set(v)
 	}
 }
 

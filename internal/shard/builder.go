@@ -20,11 +20,9 @@ import (
 // stream and the transient global graph are released; only the shards and
 // the coordinator's catalog remain.
 type Builder struct {
-	shards   int
-	replicas int
-	res      ResilienceConfig
-	cfg      engine.Config
-	triples  []rdf.Triple
+	shards  int
+	cfg     engine.Config
+	triples []rdf.Triple
 }
 
 // NewBuilder returns a builder for a cluster of n shards (n < 1 is
@@ -33,32 +31,7 @@ func NewBuilder(n int, cfg engine.Config) *Builder {
 	if n < 1 {
 		n = 1
 	}
-	return &Builder{shards: n, replicas: 1, cfg: cfg.WithDefaults()}
-}
-
-// Replicas sets the replication factor R: every shard group carries R
-// replicas for fault tolerance (r < 1 is treated as 1). The replicas of
-// a group share the shard's sealed, immutable indexes — in this
-// in-process deployment they are failure domains for the resilience
-// layer (each has its own transport, health record, and place in the
-// hedge/retry order), not independent copies of the data, which keeps
-// R-way groups memory-free and replica answers bit-identical by
-// construction. The network cut will back each replica with its own
-// store without touching the orchestration.
-func (b *Builder) Replicas(r int) *Builder {
-	if r < 1 {
-		r = 1
-	}
-	b.replicas = r
-	return b
-}
-
-// Resilience overrides the retry/hedge/breaker tuning of the cluster's
-// shard groups. The zero value (the default) applies the documented
-// defaults.
-func (b *Builder) Resilience(cfg ResilienceConfig) *Builder {
-	b.res = cfg
-	return b
+	return &Builder{shards: n, cfg: cfg.WithDefaults()}
 }
 
 // AddTriple appends one triple to the stream.
@@ -215,22 +188,9 @@ func (b *Builder) Build() *Cluster {
 	dict := gst.DictionaryView()
 	gsum.ReplaceData(graph.Build(dict))
 
-	// 6. Replica groups: R replicas per shard, each with its own direct
-	// transport and health record, under one circuit breaker per group.
-	res := b.res.withDefaults()
-	groups := make([]*group, n)
-	for i, sh := range shards {
-		reps := make([]*replica, b.replicas)
-		for r := range reps {
-			reps[r] = &replica{sh: sh, tr: directTransport{sh: sh}}
-		}
-		groups[i] = newGroup(i, reps, res)
-	}
-
-	return &Cluster{
+	cl := &Cluster{
 		cfg:          b.cfg,
 		shards:       shards,
-		groups:       groups,
 		dict:         dict,
 		sum:          gsum,
 		df:           keywordindex.MapDF(df),
@@ -239,4 +199,6 @@ func (b *Builder) Build() *Cluster {
 		totalTriples: total,
 		buildTime:    time.Since(start),
 	}
+	cl.SetInjector(nil)
+	return cl
 }

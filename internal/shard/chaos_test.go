@@ -16,8 +16,8 @@ import (
 	"repro/internal/rdf"
 )
 
-// The chaos suite: deterministic fault injection against the replica
-// groups. Every test uses a fixed injector seed; the probabilistic
+// The chaos suite: deterministic fault injection at the shard
+// transports. Every test uses a fixed injector seed; the probabilistic
 // cases are reproducible because injected outcomes are keyed to the
 // per-site call ordinal, not to goroutine interleaving.
 
@@ -26,61 +26,11 @@ func chaosTriples(tb testing.TB) []rdf.Triple {
 	return datagen.DBLPTriples(datagen.DBLPConfig{Publications: 150, Seed: 3})
 }
 
-func chaosCluster(tb testing.TB, shards, replicas int, res ResilienceConfig) *Cluster {
+func chaosCluster(tb testing.TB, shards int) *Cluster {
 	tb.Helper()
-	b := NewBuilder(shards, engine.Config{K: 5}).Replicas(replicas).Resilience(res)
+	b := NewBuilder(shards, engine.Config{K: 5})
 	b.AddTriples(chaosTriples(tb))
 	return b.Build()
-}
-
-// searchFingerprint reduces a search outcome to a comparable string
-// (candidate costs + SPARQL + top-answer rows), for bit-equality checks.
-func searchFingerprint(tb testing.TB, cl *Cluster, keywords []string) string {
-	tb.Helper()
-	ctx := context.Background()
-	cands, _, err := cl.SearchKContext(ctx, keywords, 0)
-	if err != nil {
-		tb.Fatalf("search %v: %v", keywords, err)
-	}
-	var b strings.Builder
-	for _, c := range cands {
-		fmt.Fprintf(&b, "%v %s\n", c.Cost, c.SPARQL())
-	}
-	if len(cands) > 0 {
-		rs, err := cl.ExecuteLimitContext(ctx, cands[0], 0)
-		if err != nil {
-			tb.Fatalf("execute %v: %v", keywords, err)
-		}
-		fmt.Fprintf(&b, "rows=%d\n", rs.Len())
-		for _, row := range rs.Rows {
-			fmt.Fprintf(&b, "%v\n", row)
-		}
-	}
-	return b.String()
-}
-
-// TestReplicatedFaultFreeEquivalence: with R=2 and no injector, the
-// cluster is bit-for-bit the single engine — replicas must be invisible
-// when nothing fails (and also when a stray hedge fires, since replicas
-// answer identically by construction).
-func TestReplicatedFaultFreeEquivalence(t *testing.T) {
-	triples := chaosTriples(t)
-	cfg := engine.Config{K: 5}
-	eng := buildEngine(t, triples, cfg)
-	b := NewBuilder(3, cfg).Replicas(2)
-	b.AddTriples(triples)
-	cl := b.Build()
-	for _, kws := range [][]string{
-		{"thanh tran", "publication"},
-		{"aifb", "author"},
-		{"publication", "after 2000"},
-	} {
-		compareQuery(t, eng, cl, kws)
-	}
-	cov := mustCoverage(t, cl, []string{"thanh tran", "publication"})
-	if cov.ShardsFailed != 0 || cov.ShardsAnswered != 3 {
-		t.Fatalf("fault-free coverage: %+v", cov)
-	}
 }
 
 func mustCoverage(t *testing.T, cl *Cluster, kws []string) *exec.Coverage {
@@ -95,94 +45,13 @@ func mustCoverage(t *testing.T, cl *Cluster, kws []string) *exec.Coverage {
 	return info.Coverage
 }
 
-// TestHedgedHungReplica: replica 0 of shard 0 hangs on every operation.
-// With R=2 and a short hedge delay, every query must still return the
-// bit-exact fault-free answer — the hedge reaches the healthy sibling —
-// and the coverage block must show fired hedges and zero failed shards.
-func TestHedgedHungReplica(t *testing.T) {
-	res := ResilienceConfig{HedgeDelay: 2 * time.Millisecond}
-	clean := chaosCluster(t, 3, 2, res)
-	faulty := chaosCluster(t, 3, 2, res)
-	faulty.SetInjector(faultinject.New(1,
-		faultinject.Rule{Shard: 0, Replica: 0, Mode: faultinject.ModeHang},
-	))
-
-	// The FIRST query is the one that must hedge: health ordering has no
-	// observations yet, so the hung replica 0 is primary. (Afterwards the
-	// loser-penalty demotes it and the healthy sibling leads — asserted
-	// below.)
-	kws := []string{"thanh tran", "publication"}
-	cands, info, err := faulty.SearchKContext(context.Background(), kws, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cov := info.Coverage
-	if cov == nil || cov.ShardsFailed != 0 || cov.ShardsAnswered != 3 {
-		t.Fatalf("coverage with hung replica: %+v", cov)
-	}
-	if cov.HedgesFired == 0 || cov.HedgeWins == 0 {
-		t.Fatalf("expected winning hedges against the hung replica: %+v", cov)
-	}
-	rs, err := faulty.ExecuteLimitContext(context.Background(), cands[0], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Stats.Coverage == nil || rs.Stats.Coverage.ShardsFailed != 0 {
-		t.Fatalf("execute coverage with hung replica: %+v", rs.Stats.Coverage)
-	}
-
-	want := searchFingerprint(t, clean, kws)
-	got := searchFingerprint(t, faulty, kws)
-	if got != want {
-		t.Fatalf("hedged result differs from fault-free result:\nwant:\n%s\ngot:\n%s", want, got)
-	}
-
-	// Health adaptation: the hung replica must have been demoted, so a
-	// later search answers without hedging at all.
-	cov = mustCoverage(t, faulty, kws)
-	if cov.HedgesFired != 0 || cov.ShardsFailed != 0 {
-		t.Fatalf("post-demotion coverage should be hedge-free: %+v", cov)
-	}
-}
-
-// TestRetryAfterReplicaError: replica 0 of shard 1 errors on every call;
-// the retry ladder must reach replica 1 and keep results bit-exact, with
-// retries recorded in coverage.
-func TestRetryAfterReplicaError(t *testing.T) {
-	res := ResilienceConfig{DisableHedging: true, Breaker: BreakerConfig{MinVolume: 1 << 20}}
-	clean := chaosCluster(t, 3, 2, res)
-	faulty := chaosCluster(t, 3, 2, res)
-	faulty.SetInjector(faultinject.New(1,
-		faultinject.Rule{Shard: 1, Replica: 0, Mode: faultinject.ModeError},
-	))
-
-	// First query: replica 0 is primary (no health history), errors, the
-	// retry ladder reaches replica 1.
-	kws := []string{"aifb", "author"}
-	cov := mustCoverage(t, faulty, kws)
-	if cov.ShardsFailed != 0 || cov.Retries == 0 {
-		t.Fatalf("coverage after replica error: %+v", cov)
-	}
-	want := searchFingerprint(t, clean, kws)
-	got := searchFingerprint(t, faulty, kws)
-	if got != want {
-		t.Fatalf("retried result differs from fault-free result")
-	}
-	// The failure streak demotes replica 0: later searches go straight to
-	// the healthy sibling, no retries.
-	if cov = mustCoverage(t, faulty, kws); cov.Retries != 0 {
-		t.Fatalf("post-demotion coverage should be retry-free: %+v", cov)
-	}
-}
-
-// TestDegradedPartialResults: with R=1 and shard 0 erroring on every
-// call, the whole group is down. Searches must still answer from the
-// surviving shards, with ShardsFailed=1 in the coverage block.
+// TestDegradedPartialResults: with shard 0 erroring on every call,
+// searches must still answer from the surviving shards, with
+// ShardsFailed=1 in the coverage block.
 func TestDegradedPartialResults(t *testing.T) {
-	res := ResilienceConfig{Breaker: BreakerConfig{MinVolume: 1 << 20}}
-	cl := chaosCluster(t, 3, 1, res)
+	cl := chaosCluster(t, 3)
 	cl.SetInjector(faultinject.New(1,
-		faultinject.Rule{Shard: 0, Replica: faultinject.Any, Mode: faultinject.ModeError},
+		faultinject.Rule{Shard: 0, Mode: faultinject.ModeError},
 	))
 
 	kws := []string{"publication"}
@@ -210,12 +79,12 @@ func TestDegradedPartialResults(t *testing.T) {
 	}
 }
 
-// TestAllShardsDown: every group failing is an error, not an empty
+// TestAllShardsDown: every shard failing is an error, not an empty
 // success.
 func TestAllShardsDown(t *testing.T) {
-	cl := chaosCluster(t, 2, 1, ResilienceConfig{})
+	cl := chaosCluster(t, 2)
 	cl.SetInjector(faultinject.New(1,
-		faultinject.Rule{Shard: faultinject.Any, Replica: faultinject.Any, Mode: faultinject.ModeError},
+		faultinject.Rule{Shard: faultinject.Any, Mode: faultinject.ModeError},
 	))
 	_, _, err := cl.SearchKContext(context.Background(), []string{"publication"}, 0)
 	if !errors.Is(err, ErrGroupDown) {
@@ -223,113 +92,41 @@ func TestAllShardsDown(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensAndRecovers drives one shard group's breaker through
-// the full closed → open → half-open → closed cycle with a fake clock
-// and a fault that heals (Count-limited), asserting fail-fast behavior
-// while open and the probe-led recovery.
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	res := ResilienceConfig{
-		Breaker: BreakerConfig{Window: 4, MinVolume: 2, FailureThreshold: 0.5, Cooldown: time.Second},
-	}
-	cl := chaosCluster(t, 2, 1, res)
-
-	now := time.Unix(1000, 0)
-	cl.groups[0].br.now = func() time.Time { return now }
-
-	// Shard 0 fails its first 2 group calls (1 keyword per search → 1
-	// lookup per call), then heals.
-	cl.SetInjector(faultinject.New(1,
-		faultinject.Rule{Shard: 0, Replica: faultinject.Any, Op: faultinject.OpLookup,
-			Mode: faultinject.ModeError, Count: 2},
-	))
-
-	kws := []string{"publication"}
-	search := func() *exec.Coverage {
-		t.Helper()
-		_, info, err := cl.SearchKContext(context.Background(), kws, 0)
-		if err != nil {
-			t.Fatalf("search: %v", err)
-		}
-		return info.Coverage
-	}
-
-	// Two failing calls trip the breaker (MinVolume=2, threshold 0.5).
-	for i := 0; i < 2; i++ {
-		if cov := search(); cov.ShardsFailed != 1 {
-			t.Fatalf("call %d: want shard 0 failed, got %+v", i, cov)
-		}
-	}
-	if st := cl.groups[0].br.State(); st != BreakerOpen {
-		t.Fatalf("after failures: breaker %v, want open", st)
-	}
-
-	// While open (cooldown not elapsed) calls fail fast: no lookup
-	// reaches the injector, and coverage counts the open breaker.
-	firedBefore := cl.groups[0].br
-	_ = firedBefore
-	cov := search()
-	if cov.ShardsFailed != 1 || cov.BreakerOpen != 1 {
-		t.Fatalf("open-breaker coverage: %+v", cov)
-	}
-
-	// After the cooldown the next call is the half-open probe; the fault
-	// has healed (Count exhausted), so the probe succeeds and closes the
-	// breaker, restoring full coverage.
-	now = now.Add(2 * time.Second)
-	if st := cl.groups[0].br.State(); st != BreakerHalfOpen {
-		t.Fatalf("after cooldown: breaker %v, want half-open", st)
-	}
-	cov = search()
-	if cov.ShardsFailed != 0 || cov.ShardsAnswered != 2 {
-		t.Fatalf("post-probe coverage: %+v", cov)
-	}
-	if st := cl.groups[0].br.State(); st != BreakerClosed {
-		t.Fatalf("after successful probe: breaker %v, want closed", st)
-	}
-
-	health := cl.GroupHealth()
-	if len(health) != 2 || health[0].Breaker != "closed" || health[0].Replicas != 1 {
-		t.Fatalf("GroupHealth: %+v", health)
-	}
-}
-
-// TestReplicaPanicContained: a panicking replica must surface as a
-// degraded shard (R=1) or a transparent retry (R=2), never as a process
-// crash, with the panic counted in coverage.
+// TestReplicaPanicContained: a shard whose transport panics must
+// surface as a degraded answer from the surviving shard, never as a
+// process crash, with the panic counted once per query in coverage (the
+// shard is down after its first failure).
 func TestReplicaPanicContained(t *testing.T) {
-	res := ResilienceConfig{DisableHedging: true, Breaker: BreakerConfig{MinVolume: 1 << 20}}
-
-	single := chaosCluster(t, 2, 1, res)
-	single.SetInjector(faultinject.New(1,
-		faultinject.Rule{Shard: 0, Replica: faultinject.Any, Mode: faultinject.ModePanic},
+	cl := chaosCluster(t, 2)
+	cl.SetInjector(faultinject.New(1,
+		faultinject.Rule{Shard: 0, Mode: faultinject.ModePanic},
 	))
-	cov := mustCoverage(t, single, []string{"publication"})
-	if cov.ShardsFailed != 1 || cov.Panics == 0 {
-		t.Fatalf("R=1 panic coverage: %+v", cov)
+	cands, info, err := cl.SearchKContext(context.Background(), []string{"publication"}, 0)
+	if err != nil {
+		t.Fatalf("search with a panicking shard must still answer: %v", err)
 	}
-
-	clean := chaosCluster(t, 2, 2, res)
-	replicated := chaosCluster(t, 2, 2, res)
-	replicated.SetInjector(faultinject.New(1,
-		faultinject.Rule{Shard: 0, Replica: 0, Mode: faultinject.ModePanic},
-	))
-	kws := []string{"thanh tran"}
-	cov = mustCoverage(t, replicated, kws) // first query: primary panics, retry wins
-	if cov.ShardsFailed != 0 || cov.Panics == 0 || cov.Retries == 0 {
-		t.Fatalf("R=2 panic coverage: %+v", cov)
+	cov := info.Coverage
+	if cov.Panics != 1 || cov.ShardsFailed != 1 || cov.ShardsAnswered != 1 || !cov.Degraded() {
+		t.Fatalf("search coverage: %+v", cov)
 	}
-	if got, want := searchFingerprint(t, replicated, kws), searchFingerprint(t, clean, kws); got != want {
-		t.Fatalf("post-panic retry result differs from fault-free result")
+	if len(cands) == 0 {
+		t.Fatal("degraded search returned no candidates")
+	}
+	rs, err := cl.ExecuteLimitContext(context.Background(), cands[0], 0)
+	if err != nil {
+		t.Fatalf("execute with a panicking shard must still answer: %v", err)
+	}
+	if ecov := rs.Stats.Coverage; ecov.Panics != 1 || ecov.ShardsFailed != 1 || !ecov.Degraded() {
+		t.Fatalf("execute coverage: %+v", ecov)
 	}
 }
 
 // TestMidJoinCancellation cancels an execute while a join step hangs on
 // an injected fault, asserting the cancellation propagates as
 // context.Canceled and no goroutines leak (the hang honors ctx, and
-// groupCall waits all attempts out).
+// scatterStep waits for every shard goroutine).
 func TestMidJoinCancellation(t *testing.T) {
-	res := ResilienceConfig{DisableHedging: true}
-	cl := chaosCluster(t, 3, 1, res)
+	cl := chaosCluster(t, 3)
 
 	cands, _, err := cl.SearchKContext(context.Background(), []string{"thanh tran", "publication"}, 0)
 	if err != nil || len(cands) == 0 {
@@ -337,8 +134,7 @@ func TestMidJoinCancellation(t *testing.T) {
 	}
 
 	cl.SetInjector(faultinject.New(1,
-		faultinject.Rule{Shard: 1, Replica: faultinject.Any, Op: faultinject.OpJoin,
-			Mode: faultinject.ModeHang},
+		faultinject.Rule{Shard: 1, Op: faultinject.OpJoin, Mode: faultinject.ModeHang},
 	))
 
 	before := runtime.NumGoroutine()
@@ -379,11 +175,10 @@ func TestMidJoinCancellation(t *testing.T) {
 // same seed on two identically built clusters yields the identical
 // degraded outcome (results and coverage), across modes and seeds.
 func TestChaosSeedMatrix(t *testing.T) {
-	res := ResilienceConfig{DisableHedging: true, Breaker: BreakerConfig{MinVolume: 1 << 20}}
 	kws := []string{"thanh tran", "publication"}
 
 	outcome := func(seed int64, rules []faultinject.Rule) string {
-		cl := chaosCluster(t, 3, 2, res)
+		cl := chaosCluster(t, 3)
 		cl.SetInjector(faultinject.New(seed, rules...))
 		cands, info, err := cl.SearchKContext(context.Background(), kws, 0)
 		if err != nil {
@@ -406,12 +201,10 @@ func TestChaosSeedMatrix(t *testing.T) {
 	}
 
 	ruleSets := map[string][]faultinject.Rule{
-		"prob-error": {{Shard: faultinject.Any, Replica: faultinject.Any,
-			Mode: faultinject.ModeError, Prob: 0.4}},
-		"prob-error-lookup": {{Shard: faultinject.Any, Replica: faultinject.Any,
-			Op: faultinject.OpLookup, Mode: faultinject.ModeError, Prob: 0.6}},
-		"after-count": {{Shard: 1, Replica: faultinject.Any,
-			Mode: faultinject.ModeError, After: 1, Count: 3}},
+		"prob-error": {{Shard: faultinject.Any, Mode: faultinject.ModeError, Prob: 0.4}},
+		"prob-error-lookup": {{Shard: faultinject.Any, Op: faultinject.OpLookup,
+			Mode: faultinject.ModeError, Prob: 0.6}},
+		"after-count": {{Shard: 1, Mode: faultinject.ModeError, After: 1, Count: 3}},
 	}
 	for name, rules := range ruleSets {
 		for _, seed := range []int64{1, 7, 42} {
@@ -427,9 +220,8 @@ func TestChaosSeedMatrix(t *testing.T) {
 // TestInjectorRemoval: SetInjector(nil) restores direct transports and
 // full coverage.
 func TestInjectorRemoval(t *testing.T) {
-	cl := chaosCluster(t, 2, 1, ResilienceConfig{Breaker: BreakerConfig{MinVolume: 1 << 20}})
-	inj := faultinject.New(1,
-		faultinject.Rule{Shard: 0, Replica: faultinject.Any, Mode: faultinject.ModeError})
+	cl := chaosCluster(t, 2)
+	inj := faultinject.New(1, faultinject.Rule{Shard: 0, Mode: faultinject.ModeError})
 	cl.SetInjector(inj)
 	if cov := mustCoverage(t, cl, []string{"publication"}); cov.ShardsFailed != 1 {
 		t.Fatalf("with injector: %+v", cov)
@@ -437,61 +229,5 @@ func TestInjectorRemoval(t *testing.T) {
 	cl.SetInjector(nil)
 	if cov := mustCoverage(t, cl, []string{"publication"}); cov.ShardsFailed != 0 {
 		t.Fatalf("after removal: %+v", cov)
-	}
-}
-
-// TestBreakerUnit exercises the breaker state machine directly with a
-// fake clock, including the abandoned-probe path.
-func TestBreakerUnit(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := newBreaker(BreakerConfig{Window: 4, MinVolume: 2, FailureThreshold: 0.5, Cooldown: time.Second})
-	b.now = func() time.Time { return now }
-
-	if ok, probe := b.allow(); !ok || probe {
-		t.Fatal("closed breaker must allow non-probe calls")
-	}
-	b.record(false, false)
-	b.record(false, false)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after 2/2 failures: %v", b.State())
-	}
-	if ok, _ := b.allow(); ok {
-		t.Fatal("open breaker must reject")
-	}
-
-	now = now.Add(time.Second)
-	ok, probe := b.allow()
-	if !ok || !probe {
-		t.Fatal("cooldown elapsed: breaker must admit one probe")
-	}
-	if ok, _ := b.allow(); ok {
-		t.Fatal("second caller during probe must be rejected")
-	}
-
-	// Probe abandoned (parent cancelled): the slot frees, next caller
-	// becomes the probe.
-	b.abandonProbe()
-	ok, probe = b.allow()
-	if !ok || !probe {
-		t.Fatal("after abandonProbe the next caller must probe")
-	}
-	b.record(false, true)
-	if b.State() != BreakerOpen {
-		t.Fatalf("failed probe must re-open: %v", b.State())
-	}
-
-	now = now.Add(time.Second)
-	if ok, probe = b.allow(); !ok || !probe {
-		t.Fatal("second cooldown: probe expected")
-	}
-	b.record(true, true)
-	if b.State() != BreakerClosed {
-		t.Fatalf("successful probe must close: %v", b.State())
-	}
-	// Stale outcome from a pre-open call must not re-open a closed
-	// breaker's fresh window unfairly (it feeds the window as usual).
-	b.record(true, false)
-	if b.State() != BreakerClosed {
-		t.Fatalf("closed after success: %v", b.State())
 	}
 }

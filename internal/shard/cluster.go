@@ -26,11 +26,9 @@ type Cluster struct {
 	cfg    engine.Config
 	shards []*Shard
 
-	// groups holds one fault-tolerant replica group per shard; every
-	// scattered call (keyword lookup, bind-join step) goes through its
-	// shard's group — breaker, health-ordered selection, retries,
-	// hedging — rather than calling the Shard directly.
-	groups []*group
+	// transports holds one Transport per shard; every scattered call
+	// (keyword lookup, bind-join step) reaches its shard through it.
+	transports []Transport
 
 	// dict is the coordinator's catalog: the full dictionary in the
 	// single-engine ID space (store.DictionaryView — no triples).
@@ -138,45 +136,46 @@ func (c *Cluster) SearchKContext(ctx context.Context, keywords []string, k int) 
 		scatter = append(scatter, i)
 	}
 
-	// Scatter: one fault-tolerant group call per shard computes the raw
-	// lookups for every non-filter keyword. raws[shard][j] answers
-	// keywords[scatter[j]]; a shard whose whole group fails (every
-	// replica errored, or its breaker was open) leaves raws[shard] nil
-	// and the query degrades to the shards that answered.
+	// Scatter: one goroutine per shard computes the raw lookups for
+	// every non-filter keyword. raws[shard][j] answers keywords[scatter[j]];
+	// a shard that fails (errors or panics) leaves raws[shard] nil and
+	// the query degrades to the shards that answered.
 	lctx, lookupSpan := trace.StartSpan(ctx, "lookup")
 	raws := make([][]*keywordindex.RawLookup, len(c.shards))
-	cov := newCovState(len(c.groups))
+	cov := newCovState(len(c.shards))
 	if len(scatter) > 0 {
 		var wg sync.WaitGroup
-		for si, g := range c.groups {
+		for si, tr := range c.transports {
 			wg.Add(1)
-			go func(si int, g *group) {
+			go func(si int, tr Transport) {
 				defer wg.Done()
 				shCtx, shSpan := trace.StartSpan(lctx, "shard_lookup")
 				defer shSpan.End()
 				if shSpan.Enabled() {
 					shSpan.Annotate("shard=" + strconv.Itoa(si))
 				}
-				out, st, err := groupCall(shCtx, g, func(actx context.Context, rep *replica, _ bool) ([]*keywordindex.RawLookup, error) {
-					part := make([]*keywordindex.RawLookup, len(scatter))
+				part := make([]*keywordindex.RawLookup, len(scatter))
+				err := protect(si, func() error {
 					for j, ki := range scatter {
-						r, err := rep.tr.Lookup(actx, keywords[ki], opts)
+						r, err := tr.Lookup(shCtx, keywords[ki], opts)
 						if err != nil {
-							return nil, err
+							return err
 						}
 						part[j] = r
 					}
-					return part, nil
+					return nil
 				})
-				cov.add(si, st, err != nil && ctx.Err() == nil)
-				if err != nil {
-					if shSpan.Enabled() {
-						shSpan.Annotate("failed: " + err.Error())
-					}
+				if err == nil {
+					raws[si] = part
 					return
 				}
-				raws[si] = out
-			}(si, g)
+				if ctx.Err() == nil {
+					cov.fail(si, err)
+				}
+				if shSpan.Enabled() {
+					shSpan.Annotate("failed: " + err.Error())
+				}
+			}(si, tr)
 		}
 		wg.Wait()
 		if err := ctx.Err(); err != nil {
@@ -201,7 +200,7 @@ func (c *Cluster) SearchKContext(ctx context.Context, keywords []string, k int) 
 	parallel.ForEach(parallel.Workers(c.cfg.Parallelism), len(scatter), func(j int) {
 		parts := make([]*keywordindex.RawLookup, len(c.shards))
 		for si := range c.shards {
-			if raws[si] != nil { // nil: shard group down, merge degrades
+			if raws[si] != nil { // nil: shard down, merge degrades
 				parts[si] = raws[si][j]
 			}
 		}

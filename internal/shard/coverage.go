@@ -1,44 +1,36 @@
 package shard
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/exec"
 )
 
-// covState accumulates one query's fault accounting: which shard groups
-// have answered or failed so far, and the retry/hedge/breaker/panic
-// tallies from every group call the query issued. One covState lives for
-// the whole query (a search's scatter, or all the steps of a distributed
-// execute); its snapshot becomes the exec.Coverage block the serving
-// layer reports.
+// covState accumulates one query's fault accounting: which shards have
+// failed so far, and how many of those failures were recovered panics.
+// One covState lives for the whole query (a search's scatter, or all
+// the steps of a distributed execute); its snapshot becomes the
+// exec.Coverage block the serving layer reports.
 type covState struct {
-	mu          sync.Mutex
-	failed      []bool // per shard: a group call failed during this query
-	retries     int
-	hedges      int
-	hedgeWins   int
-	breakerOpen int
-	panics      int
+	mu     sync.Mutex
+	failed []bool // per shard: a call failed during this query
+	panics int
 }
 
 func newCovState(shards int) *covState {
 	return &covState{failed: make([]bool, shards)}
 }
 
-// add folds one group call's stats in; failed additionally marks the
-// shard down for the remainder of the query (a failed group contributes
-// nothing further — the query degrades rather than retrying it per
-// step).
-func (cs *covState) add(shard int, st callStats, failed bool) {
+// fail marks the shard down for the remainder of the query (a failed
+// shard contributes nothing further — the query degrades rather than
+// retrying it per step) and counts the failure if it was a panic.
+func (cs *covState) fail(shard int, err error) {
+	_, panicked := err.(*shardPanic)
 	cs.mu.Lock()
-	cs.retries += st.retries
-	cs.hedges += st.hedges
-	cs.hedgeWins += st.hedgeWins
-	cs.breakerOpen += st.breakerOpen
-	cs.panics += st.panics
-	if failed {
-		cs.failed[shard] = true
+	cs.failed[shard] = true
+	if panicked {
+		cs.panics++
 	}
 	cs.mu.Unlock()
 }
@@ -51,7 +43,7 @@ func (cs *covState) down(shard int) bool {
 	return d
 }
 
-// allDown reports whether every shard group has failed.
+// allDown reports whether every shard has failed.
 func (cs *covState) allDown() bool {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -67,14 +59,7 @@ func (cs *covState) allDown() bool {
 func (cs *covState) coverage() *exec.Coverage {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	cov := &exec.Coverage{
-		ShardsTotal: len(cs.failed),
-		Retries:     cs.retries,
-		HedgesFired: cs.hedges,
-		HedgeWins:   cs.hedgeWins,
-		BreakerOpen: cs.breakerOpen,
-		Panics:      cs.panics,
-	}
+	cov := &exec.Coverage{ShardsTotal: len(cs.failed), Panics: cs.panics}
 	for _, f := range cs.failed {
 		if f {
 			cov.ShardsFailed++
@@ -83,4 +68,25 @@ func (cs *covState) coverage() *exec.Coverage {
 		}
 	}
 	return cov
+}
+
+// shardPanic is a panic recovered from one shard's part of a scatter.
+type shardPanic struct {
+	shard int
+	val   any
+}
+
+func (p *shardPanic) Error() string { return fmt.Sprintf("shard %d: panic: %v", p.shard, p.val) }
+
+// protect runs one shard's part of a scatter and turns a panic into
+// that shard's failure, so a crashing shard degrades the query instead
+// of killing the process (scatter goroutines are beyond the HTTP
+// layer's recover).
+func protect(shard int, fn func() error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = &shardPanic{shard: shard, val: p}
+		}
+	}()
+	return fn()
 }

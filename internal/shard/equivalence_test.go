@@ -6,15 +6,25 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/engine"
+	"repro/internal/faultinject"
 	"repro/internal/rdf"
 )
 
 // The golden equivalence suite: a cluster of N shards must be
 // indistinguishable from a single engine — identical candidate lists
 // (costs, order, SPARQL), identical diagnostics, identical answer sets,
-// identical plans — for N = 1, 2, 4 on the DBLP and LUBM workloads.
+// identical plans — for N = 1, 2, 4 on the DBLP and LUBM workloads,
+// with the direct transports and again with every shard call routed
+// through an injector that never fires.
+
+// idleInjector wraps every shard transport with an injector whose only
+// rule names a shard the cluster does not have, so it never fires.
+func idleInjector(cl *Cluster) *faultinject.Injector {
+	return faultinject.New(1, faultinject.Rule{Shard: cl.NumShards(), Mode: faultinject.ModeError})
+}
 
 func buildCluster(tb testing.TB, n int, triples []rdf.Triple, cfg engine.Config) *Cluster {
 	tb.Helper()
@@ -197,8 +207,11 @@ func TestClusterEquivalenceDBLP(t *testing.T) {
 		if cl.NumTriples() != eng.NumTriples() {
 			t.Fatalf("shards=%d: triples %d != engine %d", n, cl.NumTriples(), eng.NumTriples())
 		}
-		for _, kws := range dblpQueries() {
-			compareQuery(t, eng, cl, kws)
+		for _, inj := range []*faultinject.Injector{nil, idleInjector(cl)} {
+			cl.SetInjector(inj)
+			for _, kws := range dblpQueries() {
+				compareQuery(t, eng, cl, kws)
+			}
 		}
 	}
 }
@@ -216,10 +229,13 @@ func TestClusterEquivalenceLUBM(t *testing.T) {
 		{"publication", "professor"},
 		{"university0"},
 	}
-	for _, n := range []int{2, 4} {
+	for _, n := range []int{1, 2, 4} {
 		cl := buildCluster(t, n, triples, cfg)
-		for _, kws := range queries {
-			compareQuery(t, eng, cl, kws)
+		for _, inj := range []*faultinject.Injector{nil, idleInjector(cl)} {
+			cl.SetInjector(inj)
+			for _, kws := range queries {
+				compareQuery(t, eng, cl, kws)
+			}
 		}
 	}
 }
@@ -229,7 +245,7 @@ func TestClusterEquivalenceLUBM(t *testing.T) {
 // identically.
 func TestClusterEquivalenceOracle(t *testing.T) {
 	triples := datagen.DBLPTriples(datagen.DBLPConfig{Publications: 200, Seed: 2})
-	cfg := engine.Config{K: 5, UseOracle: true}
+	cfg := engine.Config{K: 5, Oracle: core.OracleOn}
 	eng := buildEngine(t, triples, cfg)
 	cl := buildCluster(t, 3, triples, cfg)
 	for _, kws := range [][]string{

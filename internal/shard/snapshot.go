@@ -139,22 +139,14 @@ func writeShardFile(path string, sh *Shard, numShards int) error {
 	return w.Close()
 }
 
-// LoadSnapshotDir boots a cluster from a snapshot directory with the
-// default replication factor (R=1) and resilience tuning. Use
-// Builder.LoadSnapshotDir to customize either.
-func LoadSnapshotDir(dir string, cfg engine.Config, opts snapshot.LoadOptions) (*Cluster, *snapshot.Info, error) {
-	return NewBuilder(1, cfg).LoadSnapshotDir(dir, opts)
-}
-
 // LoadSnapshotDir boots the ready-to-serve cluster from pre-built
 // partition files instead of the partition-and-build pipeline: every
 // store column, posting list, and summary element is fixed up from the
 // mapped containers with zero re-derivation. The shard count comes
-// from the catalog (the builder's n is ignored); the builder's
-// Replicas and Resilience settings shape the replica groups exactly as
-// Build would. The returned Info owns the mappings — keep it alive as
-// long as the cluster serves.
-func (b *Builder) LoadSnapshotDir(dir string, opts snapshot.LoadOptions) (*Cluster, *snapshot.Info, error) {
+// from the catalog. The returned Info owns the mappings — keep it alive
+// as long as the cluster serves.
+func LoadSnapshotDir(dir string, cfg engine.Config, opts snapshot.LoadOptions) (*Cluster, *snapshot.Info, error) {
+	cfg = cfg.WithDefaults()
 	start := time.Now()
 	info := &snapshot.Info{Path: dir}
 	fail := func(e error) (*Cluster, *snapshot.Info, error) {
@@ -195,8 +187,8 @@ func (b *Builder) LoadSnapshotDir(dir string, opts snapshot.LoadOptions) (*Clust
 		return fail(err)
 	}
 
-	th := b.cfg.Thesaurus
-	if b.cfg.DisableSemantic {
+	th := cfg.Thesaurus
+	if cfg.DisableSemantic {
 		th = nil
 	}
 	n := meta.Shards
@@ -243,21 +235,10 @@ func (b *Builder) LoadSnapshotDir(dir string, opts snapshot.LoadOptions) (*Clust
 		shards[i] = &Shard{id: i, data: ds, g: g, kwix: kw, local2global: l2g, global2local: g2l}
 	}
 
-	res := b.res.withDefaults()
-	groups := make([]*group, n)
-	for i, sh := range shards {
-		reps := make([]*replica, b.replicas)
-		for ri := range reps {
-			reps[ri] = &replica{sh: sh, tr: directTransport{sh: sh}}
-		}
-		groups[i] = newGroup(i, reps, res)
-	}
-
 	info.LoadDuration = time.Since(start)
-	return &Cluster{
-		cfg:          b.cfg,
+	cl := &Cluster{
+		cfg:          cfg,
 		shards:       shards,
-		groups:       groups,
 		dict:         dict,
 		sum:          sum,
 		df:           df,
@@ -265,7 +246,9 @@ func (b *Builder) LoadSnapshotDir(dir string, opts snapshot.LoadOptions) (*Clust
 		explorer:     core.NewExplorer(),
 		totalTriples: meta.Triples,
 		buildTime:    time.Since(start),
-	}, info, nil
+	}
+	cl.SetInjector(nil)
+	return cl, info, nil
 }
 
 // readTrans fixes up one dictionary translation table, validating its

@@ -84,31 +84,6 @@ func TestClusterSnapshotRoundTripLUBM(t *testing.T) {
 	}
 }
 
-// TestClusterSnapshotWithReplicas checks that a snapshot boot honors the
-// resilience configuration: replica groups are rebuilt around the loaded
-// shards exactly as a live build would place them.
-func TestClusterSnapshotWithReplicas(t *testing.T) {
-	triples := datagen.DBLPTriples(datagen.DBLPConfig{Publications: 200, Seed: 1})
-	cfg := engine.Config{K: 10}
-	built := buildCluster(t, 2, triples, cfg)
-	dir := writeClusterSnapshot(t, built)
-
-	b := NewBuilder(1, cfg)
-	b.Replicas(2)
-	loaded, info, err := b.LoadSnapshotDir(dir, snapshot.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer info.Close()
-	if loaded.NumShards() != 2 {
-		t.Fatalf("NumShards = %d, want 2 (from catalog, not builder)", loaded.NumShards())
-	}
-	eng := buildEngine(t, triples, cfg)
-	for _, kws := range [][]string{{"thanh tran", "publication"}, {"aifb"}, {"bidirectional", "expansion"}} {
-		compareQuery(t, eng, loaded, kws)
-	}
-}
-
 // TestClusterSnapshotReSnapshot checks a loaded cluster can write a new
 // snapshot directory (the DF table and dictionary survive another trip).
 func TestClusterSnapshotReSnapshot(t *testing.T) {

@@ -3,36 +3,33 @@ package shard
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"repro/internal/faultinject"
 	"repro/internal/keywordindex"
 )
 
-// Transport is the narrow per-replica call seam of the cluster: the two
+// Transport is the narrow per-shard call seam of the cluster: the two
 // operations the coordinator scatters — a keyword lookup during search
-// and one bind-join step during distributed execute. Every replica call
-// goes through exactly one Transport, so the production cost of the
-// fault layer is one interface call, the fault-injection harness scripts
-// failures by wrapping it, and a future network cut replaces it with an
-// RPC client without touching the coordinator's orchestration.
+// and one bind-join step during distributed execute. Every shard call
+// goes through exactly one Transport, so the fault-injection harness
+// scripts failures by wrapping it, and a future network cut replaces it
+// with an RPC client without touching the coordinator's orchestration.
 //
 // Implementations must be safe for concurrent use and must honor ctx:
-// hedging and retries cancel losing attempts through it. The signatures
-// use the coordinator's in-process types on purpose — the wire protocol
-// (ROADMAP: "cut the cluster at a real network boundary") will serialize
-// these frames as-is.
+// request deadlines and cancellation reach the shard through it. The
+// signatures use the coordinator's in-process types on purpose — the
+// wire protocol (ROADMAP: "cut the cluster at a real network boundary")
+// will serialize these frames as-is.
 type Transport interface {
-	// Lookup maps one keyword against the replica's local keyword index.
+	// Lookup maps one keyword against the shard's local keyword index.
 	Lookup(ctx context.Context, keyword string, opts keywordindex.LookupOptions) (*keywordindex.RawLookup, error)
-	// EvalStep runs one join step against the replica's owned partition,
+	// EvalStep runs one join step against the shard's owned partition,
 	// appending extensions into out (see Shard.evalStep).
 	EvalStep(ctx context.Context, spec stepSpec, parents *bindTable, out []ext) ([]ext, int64, bool, error)
 }
 
 // directTransport is the in-process Transport: direct method calls on
-// the replica's Shard. This is the entire production overhead of the
-// fault-tolerance seam.
+// the Shard.
 type directTransport struct {
 	sh *Shard
 }
@@ -50,62 +47,46 @@ func (t directTransport) EvalStep(ctx context.Context, spec stepSpec, parents *b
 
 // faultTransport consults a faultinject.Injector before every delegated
 // call — the test-only wrapper SetInjector installs. An injected hang
-// blocks until ctx is cancelled (by a hedge win, a retry takeover, or
-// the request deadline); an injected panic propagates and is converted
-// to a replica failure by the group's recover.
+// blocks until ctx is cancelled (the request deadline or the client
+// going away); an injected panic propagates and is converted to a shard
+// failure by the scatter's recover.
 type faultTransport struct {
-	inner   Transport
-	inj     *faultinject.Injector
-	shard   int
-	replica int
+	inner Transport
+	inj   *faultinject.Injector
+	shard int
 }
 
 func (t faultTransport) Lookup(ctx context.Context, keyword string, opts keywordindex.LookupOptions) (*keywordindex.RawLookup, error) {
-	if err := t.inj.Intercept(ctx, faultinject.Site{Shard: t.shard, Replica: t.replica, Op: faultinject.OpLookup}); err != nil {
+	if err := t.inj.Intercept(ctx, faultinject.Site{Shard: t.shard, Op: faultinject.OpLookup}); err != nil {
 		return nil, err
 	}
 	return t.inner.Lookup(ctx, keyword, opts)
 }
 
 func (t faultTransport) EvalStep(ctx context.Context, spec stepSpec, parents *bindTable, out []ext) ([]ext, int64, bool, error) {
-	if err := t.inj.Intercept(ctx, faultinject.Site{Shard: t.shard, Replica: t.replica, Op: faultinject.OpJoin}); err != nil {
+	if err := t.inj.Intercept(ctx, faultinject.Site{Shard: t.shard, Op: faultinject.OpJoin}); err != nil {
 		return out, 0, false, err
 	}
 	return t.inner.EvalStep(ctx, spec, parents, out)
 }
 
-// SetInjector wraps every replica's transport with the injector (nil
+// SetInjector wraps every shard's transport with the injector (nil
 // restores the direct transports). Call it before serving traffic — the
 // chaos harness and serverd -chaos both configure it at startup;
 // transports are read without synchronization by in-flight calls.
 func (c *Cluster) SetInjector(inj *faultinject.Injector) {
-	for si, g := range c.groups {
-		for ri, r := range g.replicas {
-			r.tr = directTransport{sh: r.sh}
-			if inj != nil {
-				r.tr = faultTransport{inner: r.tr, inj: inj, shard: si, replica: ri}
-			}
+	trs := make([]Transport, len(c.shards))
+	for i, sh := range c.shards {
+		trs[i] = directTransport{sh: sh}
+		if inj != nil {
+			trs[i] = faultTransport{inner: trs[i], inj: inj, shard: i}
 		}
 	}
+	c.transports = trs
 }
 
-// ErrGroupDown reports a shard group that contributed nothing to a call:
-// every replica attempt failed, or the group's breaker was open. The
-// coordinator converts it into degraded coverage rather than failing the
-// query.
+// ErrGroupDown reports a scattered call that no shard answered: every
+// shard failed (errored or panicked). A query that loses only some
+// shards does not fail — the coordinator converts those losses into
+// degraded coverage.
 var ErrGroupDown = errors.New("shard: group unavailable")
-
-// groupDownError wraps ErrGroupDown with the shard and last cause.
-type groupDownError struct {
-	shard int
-	cause error
-}
-
-func (e *groupDownError) Error() string {
-	if e.cause == nil {
-		return fmt.Sprintf("shard %d: group unavailable (breaker open)", e.shard)
-	}
-	return fmt.Sprintf("shard %d: group unavailable: %v", e.shard, e.cause)
-}
-
-func (e *groupDownError) Unwrap() error { return ErrGroupDown }
